@@ -158,7 +158,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-wait-ms",
         type=float,
         default=2.0,
-        help="micro-batcher coalescing window",
+        help="micro-batcher coalescing window: in-process, how long a "
+        "batch waits for stragglers; with --workers N, the longest a "
+        "partial batch waits while every replica is busy (it goes at "
+        "once to an idle replica)",
     )
     serve.add_argument(
         "--queue-size", type=int, default=128, help="admission queue bound"

@@ -25,7 +25,8 @@ Key mechanics:
 - **routing** — ``shard_by="model"`` pins each spec to one replica
   (CRC of the spec token), shrinking per-replica working sets;
   ``shard_by="none"`` lets every replica serve every spec and the
-  dispatcher picks the least-loaded eligible one.
+  dispatcher picks the least-loaded eligible one (ties rotate
+  round-robin).
 - **drain / rolling restart** — workers run under
   :mod:`repro.ckpt.signals`: SIGTERM (or a ``drain`` command) lets the
   in-flight batch finish before the process exits, and
@@ -118,9 +119,6 @@ def _worker_main(worker_id: int, conn, init: dict) -> None:
     compile_models = init["compile_models"]
     backend = init["backend"]
     registry = MetricRegistry()
-    batch_ms = registry.histogram(
-        "serve.worker_batch_ms", buckets=LATENCY_MS_BUCKETS
-    )
     models: Dict[str, object] = {}
 
     def _warm(published: Dict[str, dict]) -> dict:
@@ -168,7 +166,11 @@ def _worker_main(worker_id: int, conn, init: dict) -> None:
             compile_models=compile_models,
             backend=backend,
         )
-        batch_ms.observe(1e3 * (perf_counter() - start))
+        # Looked up per batch, like the counters: the "stats" command
+        # drains the registry, which unregisters every metric.
+        registry.histogram(
+            "serve.worker_batch_ms", buckets=LATENCY_MS_BUCKETS
+        ).observe(1e3 * (perf_counter() - start))
         registry.counter("serve.worker_batches").inc()
         registry.counter("serve.worker_requests").inc(len(request_ids))
         return logits
@@ -448,6 +450,8 @@ class ServeCluster:
         self._ctx = multiprocessing.get_context(start_method())
         self._replicas: List[Replica] = []
         self._replica_ids = itertools.count()
+        #: Rotates least-loaded ties over the eligible replicas.
+        self._turns = itertools.count()
         #: token -> warm payload ({"weights": SharedWeights, ...}).
         self._published: Dict[str, dict] = {}
         self._stats = ClusterStatsView()
@@ -665,9 +669,28 @@ class ServeCluster:
         return accepting
 
     def pick_replica(self, token: str) -> Replica:
-        """The least-loaded replica eligible for ``token``."""
+        """The least-loaded replica eligible for ``token``.
+
+        Ties on in-flight depth rotate round-robin, so light sequential
+        traffic spreads evenly instead of always landing on the first.
+        """
         eligible = self._eligible(token)
-        return min(eligible, key=lambda r: (r.inflight, r.replica_id))
+        turn = next(self._turns) % len(eligible)
+        rotated = eligible[turn:] + eligible[:turn]
+        return min(rotated, key=lambda r: r.inflight)
+
+    def has_idle_replica(self, token: str) -> bool:
+        """Whether a replica eligible for ``token`` has nothing in flight.
+
+        With no accepting replica at all this is True, so the caller
+        dispatches at once and the batch fails fast with
+        :class:`~repro.errors.WorkerLostError` instead of waiting.
+        """
+        try:
+            eligible = self._eligible(token)
+        except WorkerLostError:
+            return True
+        return any(r.inflight == 0 for r in eligible)
 
     def submit_batch(
         self,

@@ -3,10 +3,16 @@
 One :class:`FrontDoor` instance owns all admission and batching policy
 for a :class:`~repro.serve.cluster.ServeCluster`.  Per model spec it
 keeps a bounded :class:`asyncio.Queue` and one batcher coroutine that
-coalesces requests (up to ``max_batch``, waiting at most
-``max_wait_s`` for stragglers) and dispatches whole batches to the
-cluster's least-loaded eligible replica.  Operational behaviour
-mirrors the thread-pool :class:`~repro.serve.service.InferenceService`:
+coalesces requests (up to ``max_batch``) and dispatches whole batches
+to the cluster's least-loaded eligible replica.  Batching is
+**work-conserving**: a lane takes whatever is queued and dispatches it
+at once while a replica eligible for it is idle.  Only when every such
+replica already has a batch in flight does a partial batch wait for
+stragglers — until it fills, ``max_wait_s`` passes, or one of the
+door's dispatches completes and may have freed a replica.  Light load
+therefore pays no coalescing window, and under load batches still fill
+while the replicas are busy.  Operational behaviour mirrors the
+thread-pool :class:`~repro.serve.service.InferenceService`:
 
 - **load shedding** — a full queue fails ``submit`` fast with
   :class:`~repro.errors.ServiceOverloadError`
@@ -51,6 +57,11 @@ from repro.serve.spec import ModelSpec
 _STOP = object()
 
 
+async def _woken(event: asyncio.Event) -> None:
+    """``event.wait()`` as a coroutine ``asyncio.wait_for`` can bound."""
+    await event.wait()
+
+
 @dataclass
 class _Pending:
     spec: ModelSpec
@@ -69,14 +80,16 @@ class FrontDoor:
     cluster:
         A started :class:`~repro.serve.cluster.ServeCluster` (anything
         with ``resolve`` / ``submit_batch`` / ``replica_count`` /
-        ``stats``).  The front door owns routing policy only; the
-        cluster owns replicas and weights.
+        ``has_idle_replica`` / ``stats``).  The front door owns routing
+        policy only; the cluster owns replicas and weights.
     queue_size:
         Admission bound per spec; a full queue sheds (or degrades).
     max_batch:
         Largest batch handed to a replica in one dispatch.
     max_wait_s:
-        How long a non-empty batch waits for stragglers.
+        The longest a partial batch waits for stragglers while every
+        replica eligible for its spec is busy.  A partial batch with an
+        idle replica to go to never waits.
     timeout_s:
         Per-request deadline, measured from admission.
     fallback_spec:
@@ -117,6 +130,10 @@ class FrontDoor:
         self._queues: Dict[str, asyncio.Queue] = {}
         self._batchers: Dict[str, asyncio.Task] = {}
         self._dispatch_slots: Dict[str, asyncio.Semaphore] = {}
+        #: Per lane: set on each admission and each completed dispatch,
+        #: so a held partial batch re-checks for stragglers and idle
+        #: replicas.
+        self._wakeups: Dict[str, asyncio.Event] = {}
         self._dispatches: set = set()
         self._draining = False
 
@@ -153,6 +170,7 @@ class FrontDoor:
         try:
             queue.put_nowait(item)
             self._door_depth.inc()
+            self._wakeups[token].set()
         except asyncio.QueueFull:
             if self.fallback_spec is not None:
                 self._fallbacks.inc()
@@ -175,8 +193,9 @@ class FrontDoor:
     async def drain(self) -> None:
         """Stop admitting, flush every lane, await in-flight batches."""
         self._draining = True
-        for queue in self._queues.values():
+        for token, queue in self._queues.items():
             queue.put_nowait(_STOP)
+            self._wakeups[token].set()
         if self._batchers:
             await asyncio.gather(
                 *self._batchers.values(), return_exceptions=True
@@ -185,6 +204,7 @@ class FrontDoor:
             await asyncio.gather(*self._dispatches, return_exceptions=True)
         self._batchers.clear()
         self._queues.clear()
+        self._wakeups.clear()
 
     # ------------------------------------------------------------------
     # lanes and batching
@@ -194,6 +214,7 @@ class FrontDoor:
         if queue is None:
             queue = asyncio.Queue(maxsize=self.queue_size)
             self._queues[token] = queue
+            self._wakeups[token] = asyncio.Event()
             # 2x the eligible replicas: enough in-flight batches to
             # keep every replica busy, few enough that a stall backs
             # up into the bounded queue where shedding applies.
@@ -204,20 +225,24 @@ class FrontDoor:
             )
         return queue
 
-    async def _collect_batch(self, queue: asyncio.Queue):
+    async def _collect_batch(self, token: str, queue: asyncio.Queue):
         """Coalesce up to ``max_batch`` live requests from one lane.
 
-        Waits indefinitely for the first request, then at most
-        ``max_wait_s`` total for stragglers.  Expired requests are
-        resolved to timeout errors here — before they cost a replica
-        anything.  Returns ``(batch, stop)``; the batch can be empty
-        without stopping when every collected request had expired.
+        Waits indefinitely for the first request, then takes whatever
+        else is queued.  A partial batch goes out at once while a
+        replica eligible for the lane is idle; otherwise it waits for
+        stragglers until it fills, ``max_wait_s`` has passed since the
+        first request, or a completed dispatch frees a replica.
+        Expired requests are resolved to timeout errors here — before
+        they cost a replica anything.  Returns ``(batch, stop)``; the
+        batch can be empty without stopping when every collected
+        request had expired.
         """
         batch: List[_Pending] = []
         stop = False
-        first = await queue.get()
+        wakeup = self._wakeups[token]
+        item = await queue.get()
         cutoff = monotonic() + self.max_wait_s
-        item = first
         while True:
             if item is _STOP:
                 stop = True
@@ -229,13 +254,18 @@ class FrontDoor:
                     batch.append(item)
             if stop or len(batch) >= self.max_batch:
                 break
-            remaining = cutoff - monotonic()
-            if remaining <= 0:
-                break
-            try:
-                item = await asyncio.wait_for(queue.get(), timeout=remaining)
-            except asyncio.TimeoutError:
-                break
+            while queue.empty():
+                if not batch or self.cluster.has_idle_replica(token):
+                    return batch, stop
+                remaining = cutoff - monotonic()
+                if remaining <= 0:
+                    return batch, stop
+                wakeup.clear()
+                try:
+                    await asyncio.wait_for(_woken(wakeup), timeout=remaining)
+                except asyncio.TimeoutError:
+                    return batch, stop
+            item = queue.get_nowait()
         return batch, stop
 
     async def _batcher(self, token: str, queue: asyncio.Queue) -> None:
@@ -247,7 +277,7 @@ class FrontDoor:
         """
         slots = self._dispatch_slots[token]
         while True:
-            batch, stop = await self._collect_batch(queue)
+            batch, stop = await self._collect_batch(token, queue)
             if batch:
                 await slots.acquire()
                 task = asyncio.get_running_loop().create_task(
@@ -256,8 +286,14 @@ class FrontDoor:
                 self._dispatches.add(task)
                 task.add_done_callback(self._dispatches.discard)
                 task.add_done_callback(lambda _t, s=slots: s.release())
+                task.add_done_callback(self._wake_lanes)
             if stop:
                 return
+
+    def _wake_lanes(self, _task) -> None:
+        """A dispatch finished: its replica may be idle for any lane."""
+        for wakeup in self._wakeups.values():
+            wakeup.set()
 
     async def _dispatch(self, token: str, batch: List[_Pending]) -> None:
         """Run one batch on the cluster and resolve its futures."""

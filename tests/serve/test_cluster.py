@@ -5,6 +5,8 @@ workbench) carries the read-only tests; mutation tests (rolling
 restart, drain) build their own.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -91,12 +93,53 @@ class TestExecution:
         for labels in children:
             assert "replica" in dict(labels)
 
+    def test_light_sequential_traffic_rotates_over_replicas(
+        self, cluster, val_images
+    ):
+        def batches_per_replica():
+            return {
+                rep: row["batches"]
+                for rep, row in cluster.stats().replica_snapshot().items()
+            }
+
+        before = batches_per_replica()
+        for rid in range(10):
+            cluster.execute(QUANT_SPEC, val_images[:1], [rid])
+        # Replica stats land in a reply callback that can trail result().
+        deadline = time.monotonic() + 10.0
+        while sum(batches_per_replica().values()) < sum(before.values()) + 10:
+            assert time.monotonic() < deadline, "replica stats never landed"
+            time.sleep(0.01)
+        after = batches_per_replica()
+        counts = [after.get(rep, 0) - before.get(rep, 0) for rep in ("0", "1")]
+        assert sum(counts) == 10
+        assert max(counts) - min(counts) <= 1
+
     def test_meminfo_proves_shared_binding(self, cluster):
         info = cluster.meminfo()
         assert set(info) == {0, 1}
         for report in info.values():
             assert report["shared_fraction"] == pytest.approx(1.0)
             assert report["models"] == 2
+
+
+class TestWorkerStats:
+    def test_compute_histogram_counts_batches_across_flushes(
+        self, serve_bench, val_images
+    ):
+        with ServeCluster(serve_bench, workers=1) as cluster:
+            cluster.warm(QUANT_SPEC)
+            for rid in range(3):
+                cluster.execute(QUANT_SPEC, val_images[:2], [rid, rid + 50])
+            cluster.flush_worker_stats()
+            for rid in range(3, 8):
+                cluster.execute(QUANT_SPEC, val_images[:2], [rid, rid + 50])
+            cluster.flush_worker_stats()
+            children = cluster.stats().registry.children(
+                "serve.worker_batch_ms"
+            )
+        assert [dict(labels)["replica"] for labels in children] == ["0"]
+        assert sum(h.snapshot()["count"] for h in children.values()) == 8
 
 
 class TestShardByModel:
@@ -148,4 +191,7 @@ class TestOperations:
             cluster.warm(QUANT_SPEC)
             logits = cluster.execute(QUANT_SPEC, val_images[:2], [0, 1])
             assert logits.shape[0] == 2
+            assert cluster.has_idle_replica(QUANT_SPEC.token())
         assert cluster.replica_count() == 0
+        # No replica left: report idle so a batch fails fast, not waits.
+        assert cluster.has_idle_replica(QUANT_SPEC.token())

@@ -8,6 +8,7 @@ deterministically and in milliseconds.
 import asyncio
 import threading
 from concurrent.futures import Future
+from time import monotonic
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ class FakeCluster:
         self.replicas = replicas
         self.fail = fail
         self.batches = []
+        self.inflight = 0
+        self._lock = threading.Lock()
         self._stats = ClusterStatsView()
         self._release = threading.Event()
         self._release.set()
@@ -48,6 +51,10 @@ class FakeCluster:
     def replica_count(self):
         return self.replicas
 
+    def has_idle_replica(self, token):
+        with self._lock:
+            return self.inflight < self.replicas
+
     def stats(self):
         return self._stats
 
@@ -60,9 +67,13 @@ class FakeCluster:
     def submit_batch(self, spec, images, request_ids):
         self.batches.append((spec.token(), list(request_ids)))
         future = Future()
+        with self._lock:
+            self.inflight += 1
 
         def run():
             self._release.wait(timeout=10.0)
+            with self._lock:
+                self.inflight -= 1
             if self.fail:
                 future.set_exception(RuntimeError("replica exploded"))
                 return
@@ -82,6 +93,14 @@ def run_async(coroutine):
 
 def _image(i=0):
     return np.full((2, 2, 1), float(i), dtype=np.float32)
+
+
+async def _until(predicate, timeout=5.0):
+    """Yield to the loop until ``predicate()`` holds."""
+    deadline = monotonic() + timeout
+    while not predicate():
+        assert monotonic() < deadline, "condition never held"
+        await asyncio.sleep(0.001)
 
 
 class TestValidation:
@@ -134,6 +153,111 @@ class TestRoutingAndBatching:
 
         snap = run_async(main())
         assert snap["specs"][SPEC.token()]["requests"] == 1
+
+
+class TestWorkConserving:
+    """A partial batch waits only while every eligible replica is busy.
+
+    ``max_wait_s=5.0`` throughout: any test that finishes in well under
+    a second proves the window was not waited out.
+    """
+
+    def test_lone_request_with_idle_replica_goes_at_once(self):
+        async def main():
+            cluster = FakeCluster(replicas=1)
+            door = FrontDoor(cluster, max_wait_s=5.0)
+            start = monotonic()
+            pred = await (await door.submit(SPEC, _image(), 0))
+            elapsed = monotonic() - start
+            await door.drain()
+            return pred, elapsed
+
+        pred, elapsed = run_async(main())
+        assert elapsed < 1.0
+        assert pred.batch_size == 1
+
+    def test_requests_coalesce_while_every_replica_is_busy(self):
+        async def main():
+            cluster = FakeCluster(replicas=2)
+            cluster.hold()
+            door = FrontDoor(cluster, max_wait_s=5.0)
+            futures = []
+            # One request per replica: each finds an idle one.
+            for i in range(2):
+                futures.append(await door.submit(SPEC, _image(i), i))
+                await _until(lambda: len(cluster.batches) == i + 1)
+            for i in range(2, 5):  # stragglers, one by one
+                futures.append(await door.submit(SPEC, _image(i), i))
+                await asyncio.sleep(0.01)
+            cluster.release()
+            await asyncio.gather(*futures)
+            await door.drain()
+            return [ids for _token, ids in cluster.batches]
+
+        assert run_async(main()) == [[0], [1], [2, 3, 4]]
+
+    def test_held_partial_batch_goes_when_its_replica_frees(self):
+        async def main():
+            cluster = FakeCluster(replicas=1)
+            cluster.hold()
+            door = FrontDoor(cluster, max_wait_s=5.0)
+            first = await door.submit(SPEC, _image(0), 0)
+            await _until(lambda: len(cluster.batches) == 1)
+            second = await door.submit(SPEC, _image(1), 1)
+            await asyncio.sleep(0.05)
+            held = len(cluster.batches)
+            released = monotonic()
+            cluster.release()
+            await asyncio.gather(first, second)
+            elapsed = monotonic() - released
+            await door.drain()
+            return held, elapsed, [ids for _token, ids in cluster.batches]
+
+        held, elapsed, batches = run_async(main())
+        assert held == 1  # the partial batch waited behind the busy replica
+        assert elapsed < 1.0  # ...and left when it freed, not after 5 s
+        assert batches == [[0], [1]]
+
+    def test_full_batches_go_at_once_up_to_the_slot_bound(self):
+        async def main():
+            cluster = FakeCluster(replicas=1)
+            cluster.hold()
+            door = FrontDoor(cluster, max_batch=2, max_wait_s=5.0)
+            futures = [await door.submit(SPEC, _image(0), 0)]
+            await _until(lambda: len(cluster.batches) == 1)
+            for i in range(1, 7):
+                futures.append(await door.submit(SPEC, _image(i), i))
+                await asyncio.sleep(0.01)
+            in_flight = [ids for _token, ids in cluster.batches]
+            cluster.release()
+            await asyncio.gather(*futures)
+            await door.drain()
+            return in_flight, [ids for _token, ids in cluster.batches]
+
+        in_flight, batches = run_async(main())
+        # [1, 2] is full, so it went although the replica was busy; the
+        # full [3, 4] then waited for one of the 2 x 1 dispatch slots.
+        assert in_flight == [[0], [1, 2]]
+        assert batches == [[0], [1, 2], [3, 4], [5, 6]]
+
+    def test_drain_flushes_a_held_partial_batch_at_once(self):
+        async def main():
+            cluster = FakeCluster(replicas=1)
+            cluster.hold()
+            door = FrontDoor(cluster, max_wait_s=5.0)
+            first = await door.submit(SPEC, _image(0), 0)
+            await _until(lambda: len(cluster.batches) == 1)
+            second = await door.submit(SPEC, _image(1), 1)
+            await asyncio.sleep(0.01)
+            start = monotonic()
+            drain = asyncio.get_running_loop().create_task(door.drain())
+            await _until(lambda: len(cluster.batches) == 2)
+            elapsed = monotonic() - start
+            cluster.release()
+            await asyncio.gather(first, second, drain)
+            return elapsed
+
+        assert run_async(main()) < 1.0
 
 
 class TestShedding:
