@@ -45,15 +45,15 @@ from typing import Optional
 from repro.compile import backends, ir, schedule
 from repro.compile.backends import available_backends
 from repro.compile.compiler import compile_model, lower_model
-from repro.compile.plan import (
+from repro.compile.runtime import CompiledModel
+from repro.errors import CompileError, ConfigError
+from repro.nn.module import Module
+from repro.tensor.im2col import (
     Im2colPlan,
     clear_plan_cache,
     get_plan,
     plan_cache_stats,
 )
-from repro.compile.runtime import CompiledModel
-from repro.errors import CompileError, ConfigError
-from repro.nn.module import Module
 
 __all__ = [
     "CompileError",

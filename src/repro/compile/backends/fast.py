@@ -53,8 +53,7 @@ import numpy as np
 
 from repro.compile.backends import Backend, register_backend
 from repro.compile.ir import ActSpec
-from repro.compile.plan import get_plan
-from repro.tensor.im2col import pad_nchw
+from repro.tensor.im2col import get_plan
 
 __all__ = ["FastBackend", "PARITY_ATOL"]
 
@@ -374,14 +373,17 @@ class FastConvStep:
         pool.release(nhwc)
 
     def _run_panels(self, x, dst, noise, plan, pool) -> None:
-        """Blocked im2col panels: gather, GEMM, fuse while cache-hot."""
+        """Blocked im2col panels: gather, GEMM, fuse while cache-hot.
+
+        The input is padded once, on the calling thread; each panel is
+        one row range of the shared :meth:`Im2colPlan.gather`.
+        """
         n = x.shape[0]
         positions = plan.out_h * plan.out_w
         patch_len = plan.patch_len
         c_out = self.w_t.shape[1]
 
-        padded = pad_nchw(x, self.padding, pool)
-        src2d = (x if padded is None else padded).reshape(n, -1)
+        src, owned = plan.source(x, pool)
 
         chunk = min(n, self._chunk_samples(positions, patch_len, c_out))
         chunks = [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
@@ -404,7 +406,7 @@ class FastConvStep:
             for i0, i1 in bounds:
                 cn = i1 - i0
                 cols = panel[:cn]
-                src2d[i0:i1].take(plan.index, axis=1, out=cols)
+                plan.gather(src, pool, rows=(i0, i1), out=cols)
                 omat = pout[: cn * positions]
                 np.matmul(
                     cols.reshape(cn * positions, patch_len),
@@ -432,8 +434,8 @@ class FastConvStep:
         for panel, pout in scratch:
             pool.release(pout)
             pool.release(panel)
-        if padded is not None:
-            pool.release(padded)
+        if owned is not None:
+            pool.release(owned)
 
 
 @register_backend

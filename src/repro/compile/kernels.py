@@ -19,8 +19,10 @@ Every step replays the *exact* float operation sequence of the
 interpreted forward pass, only in place on pooled buffers (elementwise
 IEEE arithmetic is identical in and out of place):
 
-- convolution keeps the interpreter's ``cols @ w_mat.T`` operand
-  layouts so the same BLAS sgemm runs on the same values;
+- convolution unfolds patches with the interpreter's own
+  :meth:`~repro.tensor.im2col.Im2colPlan.gather` and keeps its ``cols
+  @ w_mat.T`` operand layouts, so the same BLAS sgemm runs on the same
+  values;
 - batch norm is NOT algebraically folded into the weights (that would
   change rounding) — the eval-branch op chain ``(x - mean) / std *
   gamma + beta`` is replayed with only ``std = sqrt(var + eps)``
@@ -47,9 +49,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.compile.plan import get_plan
+from repro.tensor.im2col import get_plan
 from repro.tensor.pool import BufferPool
 from repro.tensor.tensor import Tensor, no_grad
+from repro.utils import profiler as _profiler
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +201,9 @@ class FusedConvStep:
             )
             self._plan_src = (c, h, w)
         plan = self._plan
+        token = _profiler.op_start()
         cols = plan.gather(x, pool)
+        _profiler.op_end(token, "compiled.im2col")
         ctx.release(x)
         c_out = self.w_mat.shape[0]
         out_mat = pool.get((cols.shape[0], c_out), cols.dtype)

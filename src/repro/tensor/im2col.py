@@ -5,23 +5,27 @@ a matrix and performing a single large matrix multiply, the standard
 approach for CPU deep-learning kernels.  ``col2im`` is the exact adjoint
 of ``im2col`` and is used in the backward pass.
 
+``im2col`` replays a cached :class:`Im2colPlan` — a flat gather-index
+table per convolution geometry — with one unbuffered ``np.take``
+straight into the (pooled) output buffer.  The compiled reference
+kernels and the fast backend's panels gather through the same plans,
+so every convolution path unfolds patches with the same copy.
+
 Both transforms draw their workspaces (padded input, patch columns,
 scatter-add scratch) from the process-global :class:`~repro.tensor.pool.
 BufferPool`, so repeated calls at the same layer shape — the normal case
 inside a training loop or an evaluation sweep — are allocation-free.
-``im2col`` performs exactly one data copy: the strided patch view is
-copied straight into the (pooled) output buffer, with no intermediate
-materialisation.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import threading
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.tensor.pool import default_pool
+from repro.tensor.pool import BufferPool, default_pool
 from repro.utils import profiler as _profiler
 
 
@@ -36,23 +40,192 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def pad_nchw(x: np.ndarray, padding: Tuple[int, int], pool) -> np.ndarray:
-    """Zero-pad an NCHW batch spatially into a pooled buffer.
+class Im2colPlan:
+    """Gather indices for one convolution geometry (batch-size free).
 
-    Returns ``None`` when ``padding`` is ``(0, 0)`` — callers keep using
-    ``x`` directly and skip the release.  Otherwise the returned buffer
-    comes from ``pool`` and the caller owns releasing it.  Shared by the
-    interpreted :func:`im2col`, the compiled gather plans and the fast
-    backend's blocked convolution, so all three pad identically.
+    ``index[p, k]`` is the flat offset, within one zero-padded
+    ``(C, H + 2*ph, W + 2*pw)`` sample, of element ``k`` (column order
+    ``(c, kh, kw)``) of output position ``p`` (row order ``(oh, ow)``).
+    The table depends only on the per-sample geometry, so one plan
+    serves every batch size that flows through a layer.
     """
-    ph, pw = padding
-    if not (ph or pw):
-        return None
-    n, c, h, w = x.shape
-    pad_buf = pool.get((n, c, h + 2 * ph, w + 2 * pw), x.dtype)
-    pad_buf.fill(0)
-    pad_buf[:, :, ph : ph + h, pw : pw + w] = x
-    return pad_buf
+
+    __slots__ = (
+        "channels",
+        "height",
+        "width",
+        "kernel",
+        "stride",
+        "padding",
+        "out_h",
+        "out_w",
+        "patch_len",
+        "source_len",
+        "index",
+    )
+
+    def __init__(
+        self,
+        channels: int,
+        height: int,
+        width: int,
+        kernel: Tuple[int, int],
+        stride: Tuple[int, int],
+        padding: Tuple[int, int],
+    ):
+        self.channels = channels
+        self.height = height
+        self.width = width
+        self.kernel = kernel
+        self.stride = stride
+        self.padding = padding
+        kh, kw = kernel
+        sh, sw = stride
+        ph, pw = padding
+        self.out_h = conv_output_size(height, kh, sh, ph)
+        self.out_w = conv_output_size(width, kw, sw, pw)
+        self.patch_len = channels * kh * kw
+
+        padded_h = height + 2 * ph
+        padded_w = width + 2 * pw
+        self.source_len = channels * padded_h * padded_w
+        # Flat offsets of one patch's elements within a flattened
+        # (C, padded_h, padded_w) sample, column order (c, kh, kw).
+        element = (
+            np.arange(channels, dtype=np.intp)[:, None, None] * (padded_h * padded_w)
+            + np.arange(kh, dtype=np.intp)[None, :, None] * padded_w
+            + np.arange(kw, dtype=np.intp)[None, None, :]
+        ).reshape(-1)
+        # Flat offset of each patch's top-left corner, row order (oh, ow).
+        origin = (
+            np.arange(self.out_h, dtype=np.intp)[:, None] * sh * padded_w
+            + np.arange(self.out_w, dtype=np.intp)[None, :] * sw
+        ).reshape(-1)
+        self.index = origin[:, None] + element[None, :]
+        # gather() skips numpy's per-element bounds check (see there);
+        # every offset is checked once here instead.
+        if int(self.index.max()) >= self.source_len:
+            raise ShapeError(
+                f"im2col plan index out of range for input {(channels, height, width)}"
+            )
+
+    def source(
+        self, x: np.ndarray, pool: BufferPool
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The gather source of an NCHW batch, as ``(src, owned)``.
+
+        ``src`` is ``x`` zero-padded and C-contiguous, flattened to
+        ``(N, source_len)``.  ``owned`` is the pooled buffer behind it,
+        for the caller to release once its gathers are done, or ``None``
+        when ``src`` is a view of ``x`` itself.
+        """
+        n, c, h, w = x.shape
+        ph, pw = self.padding
+        if ph or pw:
+            owned = pool.get((n, c, h + 2 * ph, w + 2 * pw), x.dtype)
+            owned.fill(0)
+            owned[:, :, ph : ph + h, pw : pw + w] = x
+        elif not x.flags.c_contiguous:
+            # A reshape would copy too, but into an unpooled temporary.
+            owned = pool.get(x.shape, x.dtype)
+            np.copyto(owned, x)
+        else:
+            owned = None
+        src = x if owned is None else owned
+        return src.reshape(n, c * src.shape[2] * src.shape[3]), owned
+
+    def gather(
+        self,
+        x: np.ndarray,
+        pool: BufferPool,
+        rows: Optional[Tuple[int, int]] = None,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Unfold samples into patch columns: the one im2col copy.
+
+        ``x`` is an NCHW batch, or a 2-D source already prepared by
+        :meth:`source`; ``rows=(i0, i1)`` restricts the gather to samples
+        ``i0:i1``.  The result goes into ``out`` (C-contiguous, ``n *
+        out_h * out_w * patch_len`` elements) or, when ``out`` is None,
+        into a pooled ``(n * out_h * out_w, patch_len)`` buffer the
+        caller releases.  With a prepared source and ``out`` given the
+        pool is never touched, so worker threads may call this.
+
+        Rows are ordered ``(n, out_h, out_w)`` and columns ``(c, kh,
+        kw)``, copied element for element from the source.
+        """
+        src, owned = (x, None) if x.ndim == 2 else self.source(x, pool)
+        if src.shape[1] != self.source_len:
+            raise ShapeError(
+                f"im2col plan expects {self.source_len} elements per padded "
+                f"sample, got {src.shape[1]}"
+            )
+        if rows is not None:
+            src = src[rows[0] : rows[1]]
+        n = src.shape[0]
+        positions = self.out_h * self.out_w
+        if out is None:
+            out = pool.get((n * positions, self.patch_len), src.dtype)
+        # numpy copies ``out`` through a hidden full-size buffer under
+        # the default mode="raise"; "wrap" writes straight into it.  The
+        # construction check above and the sample-size check here keep
+        # every index in range, so the wrap never applies.
+        src.take(
+            self.index,
+            axis=1,
+            out=out.reshape(n, positions, self.patch_len),
+            mode="wrap",
+        )
+        if owned is not None:
+            pool.release(owned)
+        return out
+
+
+_PlanKey = Tuple[int, int, int, int, int, int, int, int, int]
+
+_CACHE: Dict[_PlanKey, Im2colPlan] = {}
+_LOCK = threading.Lock()
+_HITS = 0
+_MISSES = 0
+
+
+def get_plan(
+    channels: int,
+    height: int,
+    width: int,
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+) -> Im2colPlan:
+    """The cached plan for one per-sample geometry (thread-safe)."""
+    global _HITS, _MISSES
+    key = (channels, height, width, *kernel, *stride, *padding)
+    with _LOCK:
+        plan = _CACHE.get(key)
+        if plan is not None:
+            _HITS += 1
+            return plan
+        _MISSES += 1
+    # Build outside the lock (construction can be non-trivial for large
+    # geometries); a racing duplicate is discarded harmlessly.
+    plan = Im2colPlan(channels, height, width, kernel, stride, padding)
+    with _LOCK:
+        return _CACHE.setdefault(key, plan)
+
+
+def plan_cache_stats() -> Dict[str, int]:
+    """``{"size", "hits", "misses"}`` counters of the global plan cache."""
+    with _LOCK:
+        return {"size": len(_CACHE), "hits": _HITS, "misses": _MISSES}
+
+
+def clear_plan_cache() -> None:
+    """Drop every cached plan and reset the hit/miss counters."""
+    global _HITS, _MISSES
+    with _LOCK:
+        _CACHE.clear()
+        _HITS = 0
+        _MISSES = 0
 
 
 def im2col(
@@ -72,42 +245,9 @@ def im2col(
     release it back for reuse.
     """
     token = _profiler.op_start()
-    pool = default_pool()
     n, c, h, w = x.shape
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    out_h = conv_output_size(h, kh, sh, ph)
-    out_w = conv_output_size(w, kw, sw, pw)
-
-    with pool.scope() as scratch:
-        pad_buf = pad_nchw(x, (ph, pw), scratch)
-        if pad_buf is not None:
-            x = pad_buf
-
-        # Strided view: (N, C, out_h, out_w, kh, kw)
-        strides = (
-            x.strides[0],
-            x.strides[1],
-            x.strides[2] * sh,
-            x.strides[3] * sw,
-            x.strides[2],
-            x.strides[3],
-        )
-        patches = np.lib.stride_tricks.as_strided(
-            x,
-            shape=(n, c, out_h, out_w, kh, kw),
-            strides=strides,
-            writeable=False,
-        )
-        # Single copy: gather (N, out_h, out_w, C, kh, kw) straight into
-        # the pooled output buffer (the returned cols come from the pool
-        # itself, not the scratch scope, so they outlive this block).
-        cols = pool.get((n * out_h * out_w, c * kh * kw), x.dtype)
-        np.copyto(
-            cols.reshape(n, out_h, out_w, c, kh, kw),
-            patches.transpose(0, 2, 3, 1, 4, 5),
-        )
+    plan = get_plan(c, h, w, kernel, stride, padding)
+    cols = plan.gather(x, default_pool())
     _profiler.op_end(token, "im2col")
     return cols
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.compile import (
@@ -11,6 +12,8 @@ from repro.compile import (
     plan_cache_stats,
 )
 from repro.serve import ModelSpec
+from repro.tensor import Tensor, functional as F
+from repro.utils import profiler
 
 
 @pytest.fixture(autouse=True)
@@ -64,3 +67,31 @@ class TestPlanCache:
         after_second = plan_cache_stats()
         assert after_second["misses"] == after_first["misses"]
         assert after_second["hits"] > after_first["hits"]
+
+
+class TestProfilerLabels:
+    """Interpreted and compiled gathers share one plan, not one label.
+
+    The benchmark's layer tables split ``train.im2col`` from
+    ``compile.im2col`` on these op names, so neither path may record the
+    other's label, nested or not.
+    """
+
+    def test_interpreted_conv_records_im2col(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 8, 8)).astype(np.float32))
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)).astype(np.float32))
+        with profiler.profiled() as prof:
+            F.conv2d(x, w, padding=1)
+        ops = prof.records()
+        assert ops["im2col"].calls == 1
+        assert "compiled.im2col" not in ops
+
+    def test_compiled_run_records_compiled_im2col(self, compile_bench, batch):
+        spec = ModelSpec("fp32").resolved(compile_bench.config)
+        compiled = compile_model(compile_bench.build(spec))
+        compiled.predict(batch)
+        with profiler.profiled() as prof:
+            compiled.predict(batch)
+        ops = prof.records()
+        assert ops["compiled.im2col"].calls > 0
+        assert "im2col" not in ops

@@ -3,11 +3,14 @@
 After one warm-up run every intermediate — im2col columns, matmul
 output, activation masks, noise draws — comes out of the buffer pool,
 and every release is accepted (no stray views, no double releases).
+The pool's counters cannot see a temporary numpy allocates and frees
+inside one call, so ``tracemalloc`` bounds the run's peak as well.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.compile import compile_model
 from repro.serve import ModelSpec
@@ -32,6 +35,25 @@ class TestPoolSteadyState:
         assert stats.rejected == 0
         # Every pooled get was matched by an accepted release.
         assert stats.hits == stats.releases
+
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    def test_second_run_makes_no_hidden_copy(
+        self, compile_bench, batch, traced_peak, backend
+    ):
+        """No buffered gather: neither the reference kernels' nor the
+        fast backend's panels (the 3-channel stem takes that path)."""
+        spec = ModelSpec("ams_eval", enob=4.0).resolved(
+            compile_bench.config
+        )
+        compiled = compile_model(compile_bench.build(spec), backend=backend)
+        images = np.concatenate([batch] * 8)
+        pool = default_pool()
+        pool.release(compiled.run(images))  # warm-up binds the tape
+        peak = traced_peak(lambda: pool.release(compiled.run(images)))
+        # A steady run allocates a few tens of KiB of Python objects; a
+        # copy of the stem's columns (442 KiB at 64 images) or of one
+        # fast-backend panel (~320 KiB) does not fit.
+        assert peak < 128 * 1024
 
     def test_predict_copies_out_of_the_pool(self, compile_bench, batch):
         spec = ModelSpec("fp32").resolved(compile_bench.config)

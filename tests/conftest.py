@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,3 +27,28 @@ def tiny_data() -> SynthImageNet:
             seed=99,
         )
     )
+
+
+@pytest.fixture
+def traced_peak():
+    """``measure(fn)``: peak bytes allocated during ``fn()``.
+
+    numpy reports its data buffers to ``tracemalloc``, so this sees what
+    the buffer pool's counters cannot: a temporary numpy allocates and
+    frees inside one call (e.g. a buffered ``out=`` copy).
+    """
+
+    def measure(fn) -> int:
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    return measure

@@ -2,10 +2,38 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.compile.backends.fast import _SHIFT_MIN_CHANNELS
 from repro.errors import ShapeError
-from repro.tensor.im2col import col2im, conv_output_size, im2col
+from repro.tensor.im2col import col2im, conv_output_size, get_plan, im2col
 from repro.tensor.pool import default_pool
+
+
+def strided_im2col(x, kernel, stride, padding):
+    """The oracle: one copy out of an ``as_strided`` patch view.
+
+    Independent of :class:`~repro.tensor.im2col.Im2colPlan`: ``np.pad``
+    instead of the pooled source, strides instead of an index table.
+    """
+    n, c, h, w = x.shape
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = padding
+    out_h = conv_output_size(h, kh, sh, ph)
+    out_w = conv_output_size(w, kw, sw, pw)
+    x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    s0, s1, s2, s3 = x.strides
+    patches = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, c, out_h, out_w, kh, kw),
+        strides=(s0, s1, s2 * sh, s3 * sw, s2, s3),
+        writeable=False,
+    )
+    return np.ascontiguousarray(patches.transpose(0, 2, 3, 1, 4, 5)).reshape(
+        n * out_h * out_w, c * kh * kw
+    )
 
 
 def naive_conv2d(x, w, stride, padding):
@@ -129,9 +157,91 @@ class TestAdjointRegression:
         assert out.base is None
 
 
+@st.composite
+def gather_cases(draw):
+    """An NCHW batch and conv geometry for the differential tests.
+
+    Channels straddle the fast backend's shift threshold (panels below,
+    shift-and-GEMM at and above); about one value in ten is ``-0.0``.
+    """
+    n = draw(st.sampled_from([1, 5, 32]))
+    c = draw(
+        st.sampled_from(
+            [1, 3, _SHIFT_MIN_CHANNELS - 1, _SHIFT_MIN_CHANNELS, _SHIFT_MIN_CHANNELS + 1]
+        )
+    )
+    k = draw(st.sampled_from([1, 3, 5]))
+    s = draw(st.sampled_from([1, 2]))
+    p = draw(st.integers(0, 2))
+    lo = max(1, k - 2 * p)
+    h = draw(st.integers(lo, lo + 5))
+    w = draw(st.integers(lo, lo + 5))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    layout = draw(st.sampled_from(["contiguous", "strided", "channels_last"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, c, h, w)).astype(dtype)
+    x[rng.random(x.shape) < 0.1] = -0.0
+    if layout == "strided":
+        base = np.full((n, c, h, 2 * w), np.nan, dtype)
+        base[..., ::2] = x
+        x = base[..., ::2]
+    elif layout == "channels_last":
+        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    rows = sorted(draw(st.tuples(st.integers(0, n), st.integers(0, n))))
+    return x, (k, k), (s, s), (p, p), rows
+
+
+def assert_bit_equal(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestSingleGather:
+    """Every im2col path is ``Im2colPlan.gather``, bit-exact to the oracle."""
+
+    @given(gather_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_im2col_matches_strided_oracle(self, case):
+        x, kernel, stride, padding, _ = case
+        cols = im2col(x, kernel, stride, padding)
+        assert_bit_equal(cols, strided_im2col(x, kernel, stride, padding))
+        default_pool().release(cols)
+
+    @given(gather_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_row_range_matches_strided_oracle(self, case):
+        """The fast backend's panels: one prepared source, row ranges."""
+        x, kernel, stride, padding, (i0, i1) = case
+        n, c, h, w = x.shape
+        plan = get_plan(c, h, w, kernel, stride, padding)
+        pool = default_pool()
+        src, owned = plan.source(x, pool)
+        positions = plan.out_h * plan.out_w
+        out = np.empty((i1 - i0, positions, plan.patch_len), x.dtype)
+        assert plan.gather(src, pool, rows=(i0, i1), out=out) is out
+        if owned is not None:
+            pool.release(owned)
+        expected = strided_im2col(x, kernel, stride, padding)
+        assert_bit_equal(
+            out.reshape(-1, plan.patch_len),
+            expected[i0 * positions : i1 * positions],
+        )
+
+    def test_mis_sized_input_raises(self):
+        plan = get_plan(3, 8, 8, (3, 3), (1, 1), (1, 1))
+        pool = default_pool()
+        with pytest.raises(ShapeError):
+            plan.gather(np.zeros((2, 3, 8, 9), np.float32), pool)
+        with pytest.raises(ShapeError):
+            plan.gather(np.zeros((2, 3 * 10 * 10 - 1), np.float32), pool)
+
+
 class TestSingleCopy:
     """The pooled im2col performs exactly one data copy (no intermediate
-    materialisation), observable through the pool's allocation counter."""
+    materialisation), observable through the pool's allocation counter
+    and, for temporaries numpy makes inside a call, through
+    ``tracemalloc``."""
 
     def test_cold_call_allocates_only_pad_and_cols(self):
         pool = default_pool()
@@ -173,3 +283,18 @@ class TestSingleCopy:
         assert pool.stats.allocations == 1
         assert pool.stats.bytes_allocated == cols.nbytes
         pool.release(cols)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "channels_last"])
+    @pytest.mark.parametrize("padding", [(0, 0), (1, 1)])
+    def test_warm_call_makes_no_hidden_copy(self, traced_peak, layout, padding):
+        x = np.random.default_rng(0).standard_normal((32, 16, 16, 16)).astype(
+            np.float32
+        )
+        if layout == "channels_last":
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        pool = default_pool()
+        cols = im2col(x, (3, 3), (1, 1), padding)  # warm plan and pool
+        pool.release(cols)
+        peak = traced_peak(lambda: pool.release(im2col(x, (3, 3), (1, 1), padding)))
+        # Any copy of the input or of the columns would be >= 500 KiB.
+        assert peak < cols.nbytes // 64
