@@ -115,8 +115,9 @@ class ErrorModelContext:
         (except the one buffer they return, which the host owns).
     pre:
         The pre-activation array the noise will be added to, or
-        ``None`` on paths that pre-draw noise by shape alone (the fast
-        backend).  ``data_dependent`` models call :meth:`require_pre`.
+        ``None`` when the caller drew noise by shape alone (e.g. the
+        static context behind :meth:`ErrorModel.nominal_std`).
+        ``data_dependent`` models call :meth:`require_pre`.
     """
 
     __slots__ = ("config", "ntot", "nominal_std", "pool", "pre")
@@ -140,8 +141,8 @@ class ErrorModelContext:
         if self.pre is None:
             raise ConfigError(
                 f"error model {model_name!r} is data-dependent but this "
-                "execution path supplied no pre-activation; only the "
-                "interpreter and the reference backend can run it"
+                "caller supplied no pre-activation; pass pre= to "
+                "sample_noise"
             )
         return self.pre
 
@@ -246,10 +247,7 @@ class ErrorModel:
     Declarations
     ------------
     data_dependent:
-        The model reads the pre-activation (``ctx.pre``).  The fast
-        backend pre-draws noise by shape before its GEMM, so it
-        declines ops whose model is data-dependent; the reference
-        backend and the interpreter supply ``pre``.
+        The model reads the pre-activation (``ctx.pre``).
     compiled_safe:
         ``False`` makes lowering raise a
         :class:`~repro.errors.CompileError` tagged
@@ -566,8 +564,8 @@ class AMSErrorInjector(Module):
         RNG-consuming path shared by the interpreted forward and the
         compiled executor, which is what keeps their noise streams
         bit-identical.  ``pre`` is the pre-activation array for
-        data-dependent models; paths that cannot supply it (the fast
-        backend) must not host such models.
+        data-dependent models; the interpreter and the compiled kernels
+        always pass it.
         """
         if pool is None:
             pool = default_pool()

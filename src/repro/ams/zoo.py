@@ -142,8 +142,7 @@ class ReferenceScaled(ErrorModel):
     live in [-1, 1]), so the injected error is the clipping residual
     ``clip(pre, ±alpha*ntot) - pre`` plus a Gaussian of
     ``alpha * total_error_std``.  Data-dependent: the clipping term
-    needs the pre-activation, so the fast backend declines and the
-    reference backend/interpreter run it.
+    needs the pre-activation.
     """
 
     name = "reference_scaled"
@@ -185,8 +184,8 @@ class StateDependent(ErrorModel):
     where ``x`` is the accumulated pre-activation and ``sqrt(ntot)``
     normalizes its typical magnitude, so ``floor`` sets the
     signal-independent fraction (the Eq. 2 lumped part) and ``slope``
-    how fast error tracks activation energy.  Data-dependent: the fast
-    backend declines ops hosting this model.
+    how fast error tracks activation energy.  Data-dependent: the
+    draw reads the pre-activation.
     """
 
     name = "state_dependent"

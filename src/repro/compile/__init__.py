@@ -1,19 +1,13 @@
-"""Compiled inference: lazy IR, scheduler, pluggable execution backends.
+"""Compiled inference: lazy IR, scheduler, bit-identical kernels.
 
 Lowering (:mod:`repro.compile.compiler`) records a trained model (any
 ModelSpec variant: fp32 / quant / ams / ams_eval) as a lazy IR graph
 (:mod:`repro.compile.ir`); the scheduler (:mod:`repro.compile.schedule`)
 fuses the graph into conv+BN+activation(+quant) units and realizes them
-through a pluggable execution backend
-(:mod:`repro.compile.backends`).  Two backends ship in-tree:
-
-- ``"reference"`` — fused numpy kernels, **bit-identical** to the
-  interpreted ``Module.forward`` path, including per-request AMS noise
-  streams (see :mod:`repro.compile.kernels` for the contract);
-- ``"fast"`` — cache-blocked, thread-parallel GEMM with batch norm
-  folded into the weights: numerically equivalent within a documented
-  tolerance (``repro.compile.backends.fast.PARITY_ATOL``), selected
-  per-op with automatic reference fallback for ops it declines.
+into the fused numpy kernels of :mod:`repro.compile.kernels`, which are
+**bit-identical** to the interpreted ``Module.forward`` path, including
+per-request AMS noise streams (see :mod:`repro.compile.kernels` for the
+contract).
 
 Entry points
 ------------
@@ -26,12 +20,9 @@ Entry points
   (fallback to the interpreter, counted under the
   ``compile.interpreter_fallback`` metric and warned once per reason).
   The cache key is a *fingerprint* (per-parameter version counters +
-  the model's train-mode generation counter) plus the backend name, so
-  optimizer steps, ``load_state_dict``, batch-norm statistics updates
-  and backend switches all trigger recompilation.
-- :func:`set_default_backend` / :func:`default_backend` — process-wide
-  backend selection (the CLIs expose ``--backend
-  {reference,fast,auto}``); per-call ``backend=`` arguments override.
+  the model's train-mode generation counter), so optimizer steps,
+  ``load_state_dict`` and batch-norm statistics updates all trigger
+  recompilation.
 - :func:`set_enabled` / :func:`disabled` — global escape hatches (the
   experiment CLIs expose ``--no-compile``).
 """
@@ -42,11 +33,10 @@ import contextlib
 import warnings
 from typing import Optional
 
-from repro.compile import backends, ir, schedule
-from repro.compile.backends import available_backends
+from repro.compile import ir, schedule
 from repro.compile.compiler import compile_model, lower_model
 from repro.compile.runtime import CompiledModel
-from repro.errors import CompileError, ConfigError
+from repro.errors import CompileError
 from repro.nn.module import Module
 from repro.tensor.im2col import (
     Im2colPlan,
@@ -59,11 +49,8 @@ __all__ = [
     "CompileError",
     "CompiledModel",
     "Im2colPlan",
-    "available_backends",
-    "backends",
     "clear_plan_cache",
     "compile_model",
-    "default_backend",
     "disabled",
     "enabled",
     "get_plan",
@@ -73,12 +60,10 @@ __all__ = [
     "model_fingerprint",
     "plan_cache_stats",
     "schedule",
-    "set_default_backend",
     "set_enabled",
 ]
 
 _ENABLED = True
-_DEFAULT_BACKEND = "reference"
 
 #: Fallback reasons whose warn-once log already fired this process.
 _FALLBACK_WARNED: set = set()
@@ -105,27 +90,6 @@ def disabled():
         yield
     finally:
         _ENABLED = previous
-
-
-def default_backend() -> str:
-    """The process-wide backend :func:`maybe_compiled` realizes through."""
-    return _DEFAULT_BACKEND
-
-
-def set_default_backend(name: str) -> None:
-    """Select the process-wide execution backend (``--backend``).
-
-    ``name`` must be a registered backend or the ``"auto"`` alias;
-    unknown names raise :class:`~repro.errors.ConfigError` listing the
-    known ones.
-    """
-    global _DEFAULT_BACKEND
-    known = available_backends()
-    if name not in known:
-        raise ConfigError(
-            f"unknown backend {name!r} (known: {', '.join(known)})"
-        )
-    _DEFAULT_BACKEND = name
 
 
 def model_fingerprint(model: Module):
@@ -172,17 +136,13 @@ def reset_fallback_warnings() -> None:
     _FALLBACK_WARNED.clear()
 
 
-def maybe_compiled(
-    model: Module, backend: Optional[str] = None
-) -> Optional[CompiledModel]:
+def maybe_compiled(model: Module) -> Optional[CompiledModel]:
     """The compiled executor for ``model``, or ``None`` to interpret.
 
-    ``backend`` overrides the process default
-    (:func:`default_backend`) for this model.  Caches the compiled
-    model on the module keyed by (:func:`model_fingerprint`, backend);
-    models without a lowering cache the failure too, so the interpreter
-    fallback costs one attribute read per call instead of a raised
-    exception per batch.
+    Caches the compiled model on the module with its
+    :func:`model_fingerprint`; models without a lowering cache the
+    failure too, so the interpreter fallback costs one attribute read
+    per call instead of a raised exception per batch.
 
     Cache behaviour is published to the default metric registry:
     ``compile.cache_hit`` / ``compile.recompiled`` (a stale fingerprint
@@ -206,10 +166,8 @@ def maybe_compiled(
     from repro.obs.trace import span
 
     registry = default_registry()
-    backend_name = _DEFAULT_BACKEND if backend is None else backend
     fingerprint = model_fingerprint(model)
-    cache = getattr(model, "_compiled_cache", None)
-    cached = None if cache is None else cache.get(backend_name)
+    cached = getattr(model, "_compiled_cache", None)
     if cached is not None and cached[0] == fingerprint:
         registry.counter("compile.cache_hit").inc()
         if cached[1] is None:
@@ -223,7 +181,7 @@ def maybe_compiled(
     reason = None
     with span("compile.model") as compile_span:
         try:
-            compiled = compile_model(model, backend=backend_name)
+            compiled = compile_model(model)
         except CompileError as exc:
             compiled = None
             # CompileErrors raised for a declared cause (an error model
@@ -236,8 +194,7 @@ def maybe_compiled(
         _note_fallback(registry, reason, warn=True)
     else:
         registry.counter("compile.models_compiled").inc()
-    if cache is None:
-        cache = {}
-        object.__setattr__(model, "_compiled_cache", cache)
-    cache[backend_name] = (fingerprint, compiled, reason)
+    object.__setattr__(
+        model, "_compiled_cache", (fingerprint, compiled, reason)
+    )
     return compiled

@@ -13,7 +13,7 @@ part of the numerical contract).
 
 Weights are DoReFa-quantized exactly once here (under ``no_grad``, via
 the layer's own ``quantized_weight`` so the eval-mode memo cache warms
-too).  Nothing executes at lowering time; fusion and kernel selection
+too).  Nothing executes at lowering time; fusion and kernel lowering
 happen later, in :mod:`repro.compile.schedule`.  Anything the lowering
 does not recognize raises :class:`~repro.errors.CompileError`; callers
 that want a silent fallback to the interpreter use
@@ -288,17 +288,14 @@ def lower_model(model: Module) -> Graph:
     raise CompileError(f"no lowering for architecture {type(model).__name__}")
 
 
-def compile_model(model: Module, backend: Optional[str] = None):
+def compile_model(model: Module):
     """Lower ``model`` and realize it as a :class:`CompiledModel`.
 
-    ``backend`` selects the execution backend (``"reference"``,
-    ``"fast"``, ``"auto"``; default: the process-wide default, normally
-    the bit-identical reference backend).  Raises
-    :class:`~repro.errors.CompileError` for architectures or layers
-    without a lowering.
+    Raises :class:`~repro.errors.CompileError` for architectures or
+    layers without a lowering.
     """
     from repro.compile import model_fingerprint
     from repro.compile.schedule import realize
 
     graph = lower_model(model)
-    return realize(graph, backend=backend, fingerprint=model_fingerprint(model))
+    return realize(graph, fingerprint=model_fingerprint(model))

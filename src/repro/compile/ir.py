@@ -8,19 +8,15 @@ batch norm, activation, AMS noise draw, probe observation, pooling,
 ...).  Nothing executes at record time.
 
 A second pass (:mod:`repro.compile.schedule`) fuses adjacent nodes into
-the shapes the execution backends understand and realizes the fused
-tape through a pluggable :class:`~repro.compile.backends.Backend`.
-Splitting record / schedule / execute this way gives every backend the
-same complete picture of the network while keeping backends free to
-choose their own kernel granularity — the seam the one-pass fuser
-never had.
+the fused ops the kernels implement and realizes the fused tape
+through :mod:`repro.compile.kernels`.
 
 Nodes are deliberately dumb: a ``kind`` string plus an attribute dict.
 Weight-bearing nodes carry *materialized* numpy arrays (weights are
 DoReFa-quantized once, at record time, exactly as the one-pass
 compiler did) and live references to the stateful modules whose
 runtime state matters (batch-norm statistics, probes, injector RNG
-streams) so the bit-identity contract of the reference backend can
+streams) so the bit-identity contract of the reference kernels can
 reach through to them.
 """
 
@@ -36,7 +32,7 @@ __all__ = [
 ]
 
 #: Every node kind the lowering pass may record.  The scheduler and the
-#: backends validate against this set so a new kind cannot be added in
+#: kernels validate against this set so a new kind cannot be added in
 #: one layer and silently dropped in another.
 NODE_KINDS = (
     "input_quant",  # first-layer input treatment (InputQuantizer)
@@ -54,7 +50,7 @@ NODE_KINDS = (
 
 
 class ActSpec:
-    """A lowered activation function, backend-independent.
+    """A lowered activation function.
 
     ``kind`` is one of ``"relu"``, ``"clip"``, ``"quant_clip"``;
     ``ceiling`` / ``bx`` carry the clipped-ReLU ceiling and DoReFa

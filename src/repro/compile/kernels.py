@@ -1,17 +1,18 @@
-"""Reference-backend kernels: fused, bit-identical numpy steps.
+"""Reference kernels: fused, bit-identical numpy steps.
 
-These are the executable steps the **reference backend**
-(:mod:`repro.compile.backends.reference`) emits when the scheduler
-realizes a fused IR tape.  Each step consumes a raw numpy activation
-array and produces the next one, drawing every intermediate from the
-shared :class:`~repro.tensor.pool.BufferPool` and releasing its input
-as soon as it is consumed.  No autograd tensors, no backward closures,
-no per-batch weight quantization — those costs were paid once, at
-compile time.
+These are the executable steps the scheduler
+(:mod:`repro.compile.schedule`) realizes a fused IR tape into, through
+:func:`lower_op` and :func:`lower_act`.  Each step consumes a raw numpy
+activation array and produces the next one, drawing every intermediate
+from the shared :class:`~repro.tensor.pool.BufferPool` and releasing
+its input as soon as it is consumed.  No autograd tensors, no backward
+closures, no per-batch weight quantization — those costs were paid
+once, at compile time.
 
-Nothing outside the backend layer may import this module — compute
-must route through the backend dispatcher so realized models stay
-swappable (``tools/compile_lint.py`` enforces this as a tier-1 check).
+Nothing outside the scheduler may import this module — compute must
+reach the kernels through realization, so every compiled step comes
+from one lowering (``tools/compile_lint.py`` enforces this as a tier-1
+check).
 
 Bit-identity contract
 ---------------------
@@ -39,7 +40,7 @@ IEEE arithmetic is identical in and out of place):
   values the interpreter hands them.
 
 Residual-block control flow (main path before downsample, preserving
-the sequential noise-draw order) is backend-independent and lives in
+the sequential noise-draw order) lives in
 :class:`repro.compile.runtime.ResidualStep`.
 """
 
@@ -49,6 +50,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.compile.ir import ActSpec
+from repro.errors import CompileError
 from repro.tensor.im2col import get_plan
 from repro.tensor.pool import BufferPool
 from repro.tensor.tensor import Tensor, no_grad
@@ -330,3 +333,57 @@ class ModuleFallbackStep:
             out = self.module(Tensor(x)).data
         ctx.release(x)
         return ctx.own(out)
+
+
+# ----------------------------------------------------------------------
+# lowering: fused IR ops -> steps
+# ----------------------------------------------------------------------
+def lower_op(op):
+    """The executable step for one :class:`~repro.compile.schedule.FusedOp`.
+
+    Steps expose ``run(x, ctx) -> ndarray`` plus an ``op`` profiler
+    label.
+    """
+    kind = op.kind
+    if kind == "conv":
+        return FusedConvStep(
+            op.w_mat,
+            op.bias,
+            op.kernel,
+            op.stride,
+            op.padding,
+            op.probes,
+            op.injector,
+            BNApply(op.bn) if op.bn is not None else None,
+            lower_act(op.act),
+        )
+    if kind == "linear":
+        return FusedLinearStep(op.w, op.bias, op.probes, op.injector)
+    if kind == "act":
+        return ActStep(lower_act(op.act))
+    if kind == "input_quant":
+        return InputQuantStep(op.module)
+    if kind == "module":
+        return ModuleFallbackStep(op.module)
+    if kind == "flatten":
+        return FlattenStep()
+    if kind == "global_pool":
+        return GlobalPoolStep()
+    raise CompileError(f"unknown fused op {op!r}")
+
+
+def lower_act(act: Optional[ActSpec]):
+    """An in-place applier (``apply(dst, pool)``) for ``act``, or None.
+
+    Used inside fused convs, for residual-block final activations and
+    for standalone MLP activations.
+    """
+    if act is None:
+        return None
+    if act.kind == "relu":
+        return ReLUApply()
+    if act.kind == "clip":
+        return ClipApply(act.ceiling)
+    if act.kind == "quant_clip":
+        return QuantClipApply(act.bx, act.ceiling)
+    raise CompileError(f"unknown activation {act!r}")

@@ -1,18 +1,15 @@
-"""Backend-independent execution runtime for realized models.
+"""Execution runtime for realized models.
 
 The scheduler (:mod:`repro.compile.schedule`) lowers a fused IR tape
-into a flat list of executable *steps* supplied by the selected
-:class:`~repro.compile.backends.Backend`.  Everything a step needs at
-run time — pooled buffer ownership tracking, the recorded buffer tape
-that makes steady-state forwards allocation-free, residual-block
-control flow, and the :class:`CompiledModel` front door — lives here,
-shared by every backend.
+into a flat list of executable *steps* built by
+:mod:`repro.compile.kernels`.  Everything a step needs at run time —
+pooled buffer ownership tracking, the recorded buffer tape that makes
+steady-state forwards allocation-free, residual-block control flow,
+and the :class:`CompiledModel` front door — lives here.
 
 A step is any object with ``run(x, ctx) -> ndarray`` and an ``op``
 string for the profiler; activation *appliers* (used inside residual
-blocks) expose ``apply(dst, pool)``.  Backends are free to mix — one
-realized model may interleave reference and fast steps when the fast
-backend declines an op it cannot accelerate.
+blocks) expose ``apply(dst, pool)``.
 """
 
 from __future__ import annotations
@@ -161,9 +158,8 @@ def run_steps(steps, x: np.ndarray, ctx: _Ctx) -> np.ndarray:
 class ResidualStep:
     """A residual block: main path, optional projection shortcut, add, act.
 
-    Backend-independent control flow — ``main`` and ``downsample`` are
-    step lists (possibly from different backends) and ``act`` is any
-    applier.  The block input's buffer is disowned up front so the main
+    Control flow only — ``main`` and ``downsample`` are step lists and
+    ``act`` is any applier.  The block input's buffer is disowned up front so the main
     path's first conv cannot recycle it while the shortcut still needs
     it; it is released only after the residual add consumed it.  Main
     runs before downsample — the interpreter's (and therefore the noise
@@ -210,22 +206,19 @@ class CompiledModel:
     lock — concurrent callers share one executor safely, as the serving
     engine's per-model lock already assumes.
 
-    ``backend`` names the execution backend the scheduler realized the
-    steps through (``"reference"``, ``"fast"``, ...); per-backend
-    execute wall times land in the ``compile.execute_seconds``
+    Execute wall times land in the ``compile.execute_seconds``
     histogram of the default metric registry.
     """
 
-    def __init__(self, steps: List, fingerprint=None, backend: str = "reference"):
+    def __init__(self, steps: List, fingerprint=None):
         self.steps = steps
         self.fingerprint = fingerprint
-        self.backend = backend
         self._bindings: "OrderedDict[Tuple, _TapePool]" = OrderedDict()
         self._lock = threading.Lock()
         from repro.obs.metrics import default_registry
 
         self._execute_seconds = default_registry().histogram(
-            "compile.execute_seconds", backend=backend
+            "compile.execute_seconds"
         )
 
     def run(self, images) -> np.ndarray:

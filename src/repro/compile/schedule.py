@@ -1,27 +1,23 @@
-"""Scheduler: fuse the recorded IR and realize it through a backend.
+"""Scheduler: fuse the recorded IR and realize it into reference kernels.
 
 The lowering pass (:mod:`repro.compile.compiler`) records fine-grained
 :class:`~repro.compile.ir.Node` objects; this module turns them into an
 executable :class:`~repro.compile.runtime.CompiledModel` in two stages:
 
-1. **Fusion** (:func:`fuse_graph`): adjacent nodes that every backend
-   wants to see together are merged into :class:`FusedOp` records —
-   ``conv [probe*] [noise] [bn] [act]`` becomes one ``conv`` FusedOp,
-   ``linear [probe*] [noise]`` one ``linear`` FusedOp.  The pattern is
-   exactly the interpreter's execution order, so fusion never reorders
-   a noise draw.
-2. **Realization** (:func:`realize`): each FusedOp is offered to the
-   selected :class:`~repro.compile.backends.Backend` chain; the first
-   backend that returns a step wins.  The bit-identical reference
-   backend terminates every chain and accepts every op, so per-op
-   fallback is total — a fast backend only ever has to accelerate the
-   ops it is good at.  Residual blocks are control flow, not compute:
-   the scheduler recurses into their branch subgraphs and emits a
-   backend-independent :class:`~repro.compile.runtime.ResidualStep`.
+1. **Fusion** (:func:`fuse_graph`): adjacent nodes are merged into
+   :class:`FusedOp` records — ``conv [probe*] [noise] [bn] [act]``
+   becomes one ``conv`` FusedOp, ``linear [probe*] [noise]`` one
+   ``linear`` FusedOp.  The pattern is exactly the interpreter's
+   execution order, so fusion never reorders a noise draw.
+2. **Realization** (:func:`realize`): each FusedOp is lowered to the
+   bit-identical kernel step :func:`repro.compile.kernels.lower_op`
+   builds.  Residual blocks are control flow, not compute: the
+   scheduler recurses into their branch subgraphs and emits a
+   :class:`~repro.compile.runtime.ResidualStep`.
 
-Per-realize telemetry lands in the default metric registry:
-``compile.realize_seconds`` histogram and ``compile.steps_realized``
-counters labeled by the backend that supplied each step.
+Per-realize telemetry lands in the default metric registry: the
+``compile.realize_seconds`` histogram and the
+``compile.steps_realized`` counter.
 """
 
 from __future__ import annotations
@@ -29,6 +25,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.compile.ir import ActSpec, Graph, Node
+from repro.compile.kernels import lower_act, lower_op
 from repro.compile.runtime import CompiledModel, ResidualStep
 from repro.errors import CompileError
 
@@ -38,7 +35,7 @@ __all__ = [
     "realize",
 ]
 
-#: FusedOp kinds the backends dispatch on.
+#: FusedOp kinds the kernel lowering dispatches on.
 FUSED_KINDS = (
     "input_quant",
     "conv",
@@ -56,8 +53,8 @@ class FusedOp:
     ``kind`` is one of :data:`FUSED_KINDS`; ``attrs`` carries the
     merged attributes of the fused nodes (a ``conv`` FusedOp holds
     ``w_mat / bias / kernel / stride / padding / probes / injector /
-    bn / act``).  Backends receive FusedOps and return executable
-    steps — they never see raw IR nodes.
+    bn / act``).  The kernel lowering receives FusedOps and returns
+    executable steps — it never sees raw IR nodes.
     """
 
     __slots__ = ("kind", "attrs")
@@ -147,7 +144,7 @@ def _fuse_linear(nodes: Sequence[Node], start: int) -> Tuple[FusedOp, int]:
 
 
 def fuse_graph(graph: Graph) -> List:
-    """Merge adjacent IR nodes into the fused tape the backends execute.
+    """Merge adjacent IR nodes into the fused tape the kernels execute.
 
     Returns a list of :class:`FusedOp` entries, with residual blocks
     represented as ``("residual", main, downsample, act)`` tuples whose
@@ -196,73 +193,35 @@ def fuse_graph(graph: Graph) -> List:
     return fused
 
 
-def _lower_op(op: FusedOp, chain, counters) -> Any:
-    """First backend in ``chain`` that can lower ``op`` wins."""
-    for backend in chain:
-        step = backend.lower(op)
-        if step is not None:
-            counters[backend.name] = counters.get(backend.name, 0) + 1
-            return step
-    raise CompileError(
-        f"no backend in {[b.name for b in chain]} lowered {op!r}"
-    )
-
-
-def _lower_act(act: Optional[ActSpec], chain) -> Any:
-    if act is None:
-        return None
-    for backend in chain:
-        applier = backend.lower_act(act)
-        if applier is not None:
-            return applier
-    raise CompileError(f"no backend lowered activation {act!r}")
-
-
-def _lower_tape(tape: List, chain, counters) -> List:
+def _lower_tape(tape: List, realized) -> List:
+    """Lower every FusedOp of ``tape``, counting each on ``realized``."""
     steps: List = []
     for entry in tape:
         if isinstance(entry, FusedOp):
-            steps.append(_lower_op(entry, chain, counters))
+            steps.append(lower_op(entry))
+            realized.inc()
         else:
             _, main, down, act = entry
             steps.append(
                 ResidualStep(
-                    _lower_tape(main, chain, counters),
-                    _lower_tape(down, chain, counters)
-                    if down is not None
-                    else None,
-                    _lower_act(act, chain),
+                    _lower_tape(main, realized),
+                    _lower_tape(down, realized) if down is not None else None,
+                    lower_act(act),
                 )
             )
     return steps
 
 
-def realize(
-    graph: Graph,
-    backend: Optional[str] = None,
-    fingerprint=None,
-) -> CompiledModel:
-    """Fuse ``graph`` and lower it through the ``backend`` chain.
-
-    ``backend`` is a registered backend name (``"reference"``,
-    ``"fast"``) or the ``"auto"`` alias; ``None`` uses the process-wide
-    default (:func:`repro.compile.default_backend`).  Every chain ends
-    in the reference backend, so realization succeeds whenever lowering
-    did — unsupported ops simply execute bit-identically.
-    """
-    from repro.compile.backends import resolve_chain
+def realize(graph: Graph, fingerprint=None) -> CompiledModel:
+    """Fuse ``graph`` and lower it into the reference kernels."""
     from repro.obs.metrics import default_registry
     from repro.obs.trace import span
 
-    chain = resolve_chain(backend)
-    counters: Dict[str, int] = {}
-    with span("compile.realize") as realize_span:
-        tape = fuse_graph(graph)
-        steps = _lower_tape(tape, chain, counters)
     registry = default_registry()
-    registry.histogram(
-        "compile.realize_seconds", backend=chain[0].name
-    ).observe(realize_span.duration_s)
-    for name, count in counters.items():
-        registry.counter("compile.steps_realized", backend=name).inc(count)
-    return CompiledModel(steps, fingerprint, backend=chain[0].name)
+    realized = registry.counter("compile.steps_realized")
+    with span("compile.realize") as realize_span:
+        steps = _lower_tape(fuse_graph(graph), realized)
+    registry.histogram("compile.realize_seconds").observe(
+        realize_span.duration_s
+    )
+    return CompiledModel(steps, fingerprint)

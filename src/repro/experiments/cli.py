@@ -233,17 +233,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--backend",
-        choices=("reference", "fast", "auto"),
-        default=None,
-        help=(
-            "compiled execution backend: 'reference' (bit-identical to "
-            "the interpreter, the default), 'fast' (blocked-GEMM with "
-            "folded batch norm, tolerance-checked), or 'auto' (fast "
-            "when available)"
-        ),
-    )
-    parser.add_argument(
         "--run-id",
         default=None,
         help=(
@@ -827,10 +816,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro import compile as repro_compile
 
         repro_compile.set_enabled(False)
-    if getattr(args, "backend", None):
-        from repro import compile as repro_compile
-
-        repro_compile.set_default_backend(args.backend)
     if args.command == "list":
         for name in DEFAULT_ORDER:
             doc = (EXPERIMENTS[name].__doc__ or "").strip().splitlines()[0]

@@ -94,9 +94,9 @@ class ModelRegistry:
         The :class:`~repro.obs.MetricRegistry` tier counters land on
         (default: the process-wide registry, so experiment runs see
         their tier traffic in the final journal snapshot).
-    compile_models / backend:
+    compile_models:
         Lower models to the compiled executor when they enter the warm
-        tier, same semantics as the serving engine's knobs.  The cold
+        tier, same semantics as the serving engine's knob.  The cold
         (``fresh=True``) path never compiles, matching the legacy
         workbench behaviour bit for bit.
     """
@@ -110,7 +110,6 @@ class ModelRegistry:
         default_tenant: str = "default",
         metrics: Optional[MetricRegistry] = None,
         compile_models: bool = False,
-        backend: Optional[str] = None,
     ):
         if warm_max_entries < 1:
             raise ConfigError(
@@ -128,7 +127,6 @@ class ModelRegistry:
         self.default_tenant = default_tenant
         self.metrics = metrics if metrics is not None else default_registry()
         self.compile_models = compile_models
-        self.backend = backend
         self._lock = threading.RLock()
         #: (tenant, token) -> WarmEntry, least recently used first.
         self._warm: "OrderedDict[Tuple[str, str], WarmEntry]" = OrderedDict()
@@ -201,7 +199,7 @@ class ModelRegistry:
         if self.compile_models:
             from repro.compile import maybe_compiled
 
-            maybe_compiled(model, backend=self.backend)
+            maybe_compiled(model)
         entry = WarmEntry(
             spec=spec,
             tenant=tenant,

@@ -117,7 +117,6 @@ def _worker_main(worker_id: int, conn, init: dict) -> None:
     bench = Workbench(init["config"])
     seed = init["seed"]
     compile_models = init["compile_models"]
-    backend = init["backend"]
     registry = MetricRegistry()
     models: Dict[str, object] = {}
 
@@ -139,7 +138,7 @@ def _worker_main(worker_id: int, conn, init: dict) -> None:
             if compile_models:
                 from repro.compile import maybe_compiled
 
-                maybe_compiled(model, backend=backend)
+                maybe_compiled(model)
             models[token] = model
         fractions = [bound_fraction(m) for m in models.values()]
         return {
@@ -164,7 +163,6 @@ def _worker_main(worker_id: int, conn, init: dict) -> None:
             seed,
             registry=registry,
             compile_models=compile_models,
-            backend=backend,
         )
         # Looked up per batch, like the counters: the "stats" command
         # drains the registry, which unregisters every metric.
@@ -390,7 +388,7 @@ class ServeCluster:
     seed:
         Root of the per-request noise streams (default: the workbench
         config's seed) — the same contract as the in-process engine.
-    compile_models / backend:
+    compile_models:
         Forwarded to each replica's executor, same semantics as
         :class:`~repro.serve.engine.InferenceEngine`.
     share_dir:
@@ -415,7 +413,6 @@ class ServeCluster:
         shard_by: str = "none",
         seed: Optional[int] = None,
         compile_models: bool = True,
-        backend: Optional[str] = None,
         share_dir: Optional[str] = None,
         registry=None,
         tenant: str = "default",
@@ -431,20 +428,11 @@ class ServeCluster:
                 f"unknown shard_by {shard_by!r}; options: "
                 f"{list(SHARD_POLICIES)}{hint}"
             )
-        if backend is not None:
-            from repro.compile import available_backends
-
-            if backend not in available_backends():
-                raise ConfigError(
-                    f"unknown backend {backend!r} "
-                    f"(known: {', '.join(available_backends())})"
-                )
         self.workbench = workbench
         self.workers = workers
         self.shard_by = shard_by
         self.seed = workbench.config.seed if seed is None else seed
         self.compile_models = compile_models
-        self.backend = backend
         self._own_share_dir = share_dir is None
         self.share_dir = share_dir
         self._ctx = multiprocessing.get_context(start_method())
@@ -488,7 +476,6 @@ class ServeCluster:
             "config": self.workbench.config,
             "seed": self.seed,
             "compile_models": self.compile_models,
-            "backend": self.backend,
         }
 
     def _spawn_replica(self) -> Replica:

@@ -96,13 +96,6 @@ class InferenceEngine:
         through it.  Predictions are bit-identical either way —
         including per-request AMS noise — so this is purely a speed
         knob; pass ``False`` to force the interpreted forward.
-    backend:
-        Compiled execution backend for this engine (``"reference"`` /
-        ``"fast"`` / ``"auto"``); ``None`` uses the process-wide
-        :func:`repro.compile.default_backend`.  The reference backend
-        keeps the bit-identity guarantee above; the fast backend trades
-        it for speed within a documented tolerance
-        (:data:`repro.compile.backends.fast.PARITY_ATOL`).
     registry:
         Share an existing :class:`repro.registry.ModelRegistry` (e.g.
         a cluster's) instead of building a private one; the registry's
@@ -119,7 +112,6 @@ class InferenceEngine:
         max_wait_ms: float = 2.0,
         workers: int = 1,
         compile_models: bool = True,
-        backend: Optional[str] = None,
         registry=None,
     ):
         if max_models < 1:
@@ -137,15 +129,6 @@ class InferenceEngine:
         self.max_wait_ms = max_wait_ms
         self.workers = workers
         self.compile_models = compile_models
-        if backend is not None:
-            from repro.compile import available_backends
-
-            if backend not in available_backends():
-                raise ConfigError(
-                    f"unknown backend {backend!r} "
-                    f"(known: {', '.join(available_backends())})"
-                )
-        self.backend = backend
         self._queue: "queue.Queue[_Request]" = queue.Queue()
         self._stats = EngineStatsView()
         if registry is None:
@@ -156,7 +139,6 @@ class InferenceEngine:
                 warm_max_entries=max_models,
                 metrics=self._stats.registry,
                 compile_models=compile_models,
-                backend=backend,
             )
         self.registry = registry
         self._queue_depth = self._stats.registry.gauge("serve.queue_depth")
@@ -370,5 +352,4 @@ class InferenceEngine:
             self.seed,
             registry=self._stats.registry,
             compile_models=self.compile_models,
-            backend=self.backend,
         )

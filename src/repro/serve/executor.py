@@ -14,7 +14,7 @@ registered error model.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -31,7 +31,6 @@ def forward_with_request_noise(
     *,
     registry=None,
     compile_models: bool = True,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """One eval-mode forward with per-request deterministic noise.
 
@@ -64,7 +63,7 @@ def forward_with_request_noise(
             if compile_models:
                 from repro.compile import maybe_compiled
 
-                compiled = maybe_compiled(model, backend=backend)
+                compiled = maybe_compiled(model)
                 if compiled is not None:
                     if registry is not None:
                         registry.counter("serve.batches_compiled").inc()

@@ -7,9 +7,9 @@ of ``im2col`` and is used in the backward pass.
 
 ``im2col`` replays a cached :class:`Im2colPlan` — a flat gather-index
 table per convolution geometry — with one unbuffered ``np.take``
-straight into the (pooled) output buffer.  The compiled reference
-kernels and the fast backend's panels gather through the same plans,
-so every convolution path unfolds patches with the same copy.
+straight into the (pooled) output buffer.  The compiled kernels gather
+through the same plans, so every convolution path unfolds patches with
+the same copy.
 
 Both transforms draw their workspaces (padded input, patch columns,
 scatter-add scratch) from the process-global :class:`~repro.tensor.pool.
@@ -109,14 +109,14 @@ class Im2colPlan:
                 f"im2col plan index out of range for input {(channels, height, width)}"
             )
 
-    def source(
+    def _source(
         self, x: np.ndarray, pool: BufferPool
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """The gather source of an NCHW batch, as ``(src, owned)``.
 
         ``src`` is ``x`` zero-padded and C-contiguous, flattened to
         ``(N, source_len)``.  ``owned`` is the pooled buffer behind it,
-        for the caller to release once its gathers are done, or ``None``
+        for the caller to release once the gather is done, or ``None``
         when ``src`` is a view of ``x`` itself.
         """
         n, c, h, w = x.shape
@@ -134,38 +134,23 @@ class Im2colPlan:
         src = x if owned is None else owned
         return src.reshape(n, c * src.shape[2] * src.shape[3]), owned
 
-    def gather(
-        self,
-        x: np.ndarray,
-        pool: BufferPool,
-        rows: Optional[Tuple[int, int]] = None,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Unfold samples into patch columns: the one im2col copy.
+    def gather(self, x: np.ndarray, pool: BufferPool) -> np.ndarray:
+        """Unfold an NCHW batch into patch columns: the one im2col copy.
 
-        ``x`` is an NCHW batch, or a 2-D source already prepared by
-        :meth:`source`; ``rows=(i0, i1)`` restricts the gather to samples
-        ``i0:i1``.  The result goes into ``out`` (C-contiguous, ``n *
-        out_h * out_w * patch_len`` elements) or, when ``out`` is None,
-        into a pooled ``(n * out_h * out_w, patch_len)`` buffer the
-        caller releases.  With a prepared source and ``out`` given the
-        pool is never touched, so worker threads may call this.
-
-        Rows are ordered ``(n, out_h, out_w)`` and columns ``(c, kh,
-        kw)``, copied element for element from the source.
+        Returns a pooled ``(n * out_h * out_w, patch_len)`` buffer the
+        caller releases.  Rows are ordered ``(n, out_h, out_w)`` and
+        columns ``(c, kh, kw)``, copied element for element from the
+        source.
         """
-        src, owned = (x, None) if x.ndim == 2 else self.source(x, pool)
+        src, owned = self._source(x, pool)
         if src.shape[1] != self.source_len:
             raise ShapeError(
                 f"im2col plan expects {self.source_len} elements per padded "
                 f"sample, got {src.shape[1]}"
             )
-        if rows is not None:
-            src = src[rows[0] : rows[1]]
         n = src.shape[0]
         positions = self.out_h * self.out_w
-        if out is None:
-            out = pool.get((n * positions, self.patch_len), src.dtype)
+        out = pool.get((n * positions, self.patch_len), src.dtype)
         # numpy copies ``out`` through a hidden full-size buffer under
         # the default mode="raise"; "wrap" writes straight into it.  The
         # construction check above and the sample-size check here keep

@@ -30,17 +30,12 @@ def evaluate_accuracy(
     batch_size: int = 256,
     k: int = 1,
     noise_seed: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> EvalResult:
     """Top-k accuracy of ``model`` on ``data`` (model left in eval mode).
 
     The paper reports top-1 throughout and notes "top-5 accuracies
     generally tracked top-1 accuracies"; pass ``k=5`` to check the same
     property here.
-
-    ``backend`` selects the compiled execution backend for this sweep
-    (``"reference"`` / ``"fast"`` / ``"auto"``; default: the process-wide
-    :func:`repro.compile.default_backend`).
 
     Returns an :class:`~repro.obs.EvalResult` — a float (the accuracy,
     so every existing call site is unchanged) that also carries the
@@ -60,7 +55,7 @@ def evaluate_accuracy(
     from repro.tensor.pool import default_pool
     from time import perf_counter
 
-    compiled = maybe_compiled(model, backend=backend)
+    compiled = maybe_compiled(model)
     correct = 0
     total = 0
     logits_hash = 0
@@ -118,21 +113,18 @@ def ams_injectors(model: Module) -> List:
     return [m for m in model.modules() if isinstance(m, AMSErrorInjector)]
 
 
-def predict_logits(
-    model: Module, images: np.ndarray, backend: Optional[str] = None
-) -> np.ndarray:
+def predict_logits(model: Module, images: np.ndarray) -> np.ndarray:
     """Eval-mode forward pass returning the raw logits array.
 
     The shared inference primitive: one gradient-free forward over a
     stacked NCHW batch.  The caller owns reseeding (per-pass via
     :func:`reseed_noise`, or per-row via ``AMSErrorInjector.set_row_rngs``
-    as the serving engine does).  ``backend`` selects the compiled
-    execution backend (default: the process-wide one).
+    as the serving engine does).
     """
     model.eval()
     from repro.compile import maybe_compiled
 
-    compiled = maybe_compiled(model, backend=backend)
+    compiled = maybe_compiled(model)
     if compiled is not None:
         return compiled.predict(images)
     with no_grad():

@@ -1,10 +1,13 @@
-"""Staleness handling: fingerprints, memoized weights, cached compiles."""
+"""Staleness handling: fingerprints, memoized weights, cached compiles,
+and the counted interpreter fallback."""
 
 from __future__ import annotations
 
 import numpy as np
 
+import repro.compile as rc
 from repro.compile import disabled, maybe_compiled, model_fingerprint
+from repro.obs.metrics import default_registry
 from repro.optim.sgd import SGD
 from repro.quant.qmodules import QuantConv2d
 from repro.serve import ModelSpec
@@ -151,3 +154,64 @@ class TestNoGradFastPath:
         assert untracked._parents == ()
         assert not untracked.requires_grad
         assert np.array_equal(tracked.data, untracked.data)
+
+
+class TestInterpreterFallbackInstrumentation:
+    def test_disabled_fallback_is_counted_not_warned(self, compile_bench):
+        import warnings
+
+        spec = ModelSpec("fp32").resolved(compile_bench.config)
+        model = compile_bench.build(spec)
+        counter = default_registry().counter(
+            "compile.interpreter_fallback", reason="disabled"
+        )
+        before = counter.value
+        with rc.disabled(), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert maybe_compiled(model) is None
+        assert counter.value == before + 1
+
+    def test_unsupported_model_warns_once_and_counts(self):
+        import warnings
+
+        class NotAModule:
+            pass
+
+        rc.reset_fallback_warnings()
+        counter = default_registry().counter(
+            "compile.interpreter_fallback", reason="not_a_module"
+        )
+        before = counter.value
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert maybe_compiled(NotAModule()) is None
+            assert maybe_compiled(NotAModule()) is None
+        runtime = [
+            w for w in caught if issubclass(w.category, RuntimeWarning)
+        ]
+        assert len(runtime) == 1  # warned once per process, per reason
+        assert "interpreter_fallback" in str(runtime[0].message)
+        assert counter.value == before + 2  # but every fallback counted
+
+    def test_compile_error_fallback_counts_cached_hits_too(self):
+        import warnings
+
+        from repro.nn.activation import ReLU
+
+        rc.reset_fallback_warnings()
+        model = ReLU()  # a Module with no lowering
+        counter = default_registry().counter(
+            "compile.interpreter_fallback", reason="compile_error"
+        )
+        failed = default_registry().counter("compile.compile_failed")
+        before, failed_before = counter.value, failed.value
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert maybe_compiled(model) is None
+            assert maybe_compiled(model) is None  # cached failure
+        assert counter.value == before + 2
+        assert failed.value == failed_before + 1  # compiled only once
+        runtime = [
+            w for w in caught if issubclass(w.category, RuntimeWarning)
+        ]
+        assert len(runtime) == 1

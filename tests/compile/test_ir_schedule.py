@@ -143,15 +143,28 @@ class TestRealize:
         model = compile_bench.build(spec)
         graph = lower_model(model)
         compiled = realize(graph)
-        assert compiled.backend == "reference"
         from repro.compile import compile_model
 
         assert np.array_equal(
             compile_model(model).predict(batch), compiled.predict(batch)
         )
 
-    def test_realize_unknown_backend_raises(self, compile_bench):
-        spec = ModelSpec("fp32").resolved(compile_bench.config)
+    def test_steps_realized_counters(self, compile_bench):
+        from repro.obs.metrics import default_registry
+
+        spec = ModelSpec("quant", bw=8, bx=8).resolved(compile_bench.config)
         graph = lower_model(compile_bench.build(spec))
-        with pytest.raises(CompileError, match="unknown backend"):
-            realize(graph, backend="gpu")
+
+        def fused_ops(tape):
+            return sum(
+                fused_ops(e[1]) + fused_ops(e[2] or [])
+                if isinstance(e, tuple)
+                else 1
+                for e in tape
+            )
+
+        counter = default_registry().counter("compile.steps_realized")
+        before = counter.value
+        realize(graph)
+        # One increment per fused op, residual branches included.
+        assert counter.value == before + fused_ops(fuse_graph(graph))

@@ -10,7 +10,6 @@ inside one call, so ``tracemalloc`` bounds the run's peak as well.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.compile import compile_model
 from repro.serve import ModelSpec
@@ -36,23 +35,20 @@ class TestPoolSteadyState:
         # Every pooled get was matched by an accepted release.
         assert stats.hits == stats.releases
 
-    @pytest.mark.parametrize("backend", ["reference", "fast"])
     def test_second_run_makes_no_hidden_copy(
-        self, compile_bench, batch, traced_peak, backend
+        self, compile_bench, batch, traced_peak
     ):
-        """No buffered gather: neither the reference kernels' nor the
-        fast backend's panels (the 3-channel stem takes that path)."""
+        """No buffered gather in the compiled kernels."""
         spec = ModelSpec("ams_eval", enob=4.0).resolved(
             compile_bench.config
         )
-        compiled = compile_model(compile_bench.build(spec), backend=backend)
+        compiled = compile_model(compile_bench.build(spec))
         images = np.concatenate([batch] * 8)
         pool = default_pool()
         pool.release(compiled.run(images))  # warm-up binds the tape
         peak = traced_peak(lambda: pool.release(compiled.run(images)))
         # A steady run allocates a few tens of KiB of Python objects; a
-        # copy of the stem's columns (442 KiB at 64 images) or of one
-        # fast-backend panel (~320 KiB) does not fit.
+        # copy of the stem's columns (442 KiB at 64 images) does not fit.
         assert peak < 128 * 1024
 
     def test_predict_copies_out_of_the_pool(self, compile_bench, batch):

@@ -12,8 +12,7 @@ These tests hold both halves across process boundaries: the same
 batches produce bit-identical logits from the in-process engine, a
 1-replica cluster, and a 4-replica cluster that spreads them over four
 processes — for every model variant and a spread of zoo error models,
-including a data-dependent one the fast compiled backend declines
-per-op.
+including a data-dependent one that reads the pre-activations.
 """
 
 from dataclasses import replace
@@ -38,8 +37,7 @@ SPEC_TOKENS = [
     "ams:e4.0",
     "ams_eval:e4.0",
     # Zoo coverage: a correlated generator with its own stream shape,
-    # and a data-dependent model (reads pre-activations) that the fast
-    # backend declines per-op, forcing the reference path mid-graph.
+    # and a data-dependent model (reads pre-activations).
     "ams_eval:e4.0:mtile_correlated",
     "ams_eval:e4.0:mstate_dependent",
 ]

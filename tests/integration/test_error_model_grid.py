@@ -1,9 +1,7 @@
 """The error-model determinism grid: every registered model, every path.
 
 For each model in the registry: interpreter vs compiled-reference
-bit-identity, fast-backend parity (or exact equality via its per-op
-decline of data-dependent models), serve-engine per-request determinism
-at 1 vs 4 workers, checkpoint capture/restore of every declared RNG
+bit-identity, serve-engine per-request determinism at 1 vs 4 workers, checkpoint capture/restore of every declared RNG
 stream, and trainer kill/resume bit-identity for the model with extra
 streams.
 """
@@ -17,10 +15,9 @@ import numpy as np
 import pytest
 
 import repro.compile as rc
-from repro.ams.models import get_model, list_models
+from repro.ams.models import list_models
 from repro.ckpt import capture_rng_states, restore_rng_states
 from repro.compile import compile_model, maybe_compiled
-from repro.compile.backends.fast import PARITY_ATOL
 from repro.experiments.common import Workbench
 from repro.experiments.config import make_config
 from repro.models import AMSFactory
@@ -102,23 +99,6 @@ def _interpreted(model, images):
         return np.array(model(Tensor(images)).data, copy=True)
 
 
-def _fast_conv_steps(compiled):
-    """Every fast-backend conv step in the tape (recursing residuals)."""
-    from repro.compile.backends.fast import FastConvStep
-
-    found = []
-    stack = list(compiled.steps)
-    while stack:
-        step = stack.pop()
-        if isinstance(step, FastConvStep):
-            found.append(step)
-        for branch in ("main", "downsample"):
-            sub = getattr(step, branch, None)
-            if sub:
-                stack.extend(sub)
-    return found
-
-
 class TestCompiledPaths:
     @pytest.mark.parametrize("name,params", GRID, ids=GRID_IDS)
     def test_reference_backend_is_bit_identical(
@@ -127,33 +107,11 @@ class TestCompiledPaths:
         model = _build(grid_bench, name, params)
         reseed_noise(model, 7, 0)
         expected = _interpreted(model, batch)
-        compiled = compile_model(model, backend="reference")
+        compiled = compile_model(model)
         reseed_noise(model, 7, 0)
         actual = compiled.predict(batch)
         assert actual.dtype == expected.dtype
         assert np.array_equal(expected, actual)
-
-    @pytest.mark.parametrize("name,params", GRID, ids=GRID_IDS)
-    def test_fast_backend_parity_or_clean_decline(
-        self, grid_bench, batch, name, params
-    ):
-        model = _build(grid_bench, name, params)
-        reseed_noise(model, 7, 0)
-        expected = _interpreted(model, batch)
-        compiled = compile_model(model, backend="fast")
-        if get_model(name, params).data_dependent:
-            # The fast backend must cleanly decline every conv hosting
-            # a data-dependent model (it pre-draws noise by shape and
-            # cannot supply the pre-activation); the ops fall back to
-            # the reference kernels per op instead of crashing.
-            assert not _fast_conv_steps(compiled)
-        reseed_noise(model, 7, 0)
-        actual = compiled.predict(batch)
-        max_err = float(np.abs(expected - actual).max())
-        assert max_err <= PARITY_ATOL
-        assert np.array_equal(
-            expected.argmax(axis=1), actual.argmax(axis=1)
-        )
 
 
 class TestServeDeterminism:

@@ -39,7 +39,6 @@ def _logits(model, images, seed):
         seed,
         registry=MetricRegistry(),
         compile_models=False,
-        backend=None,
     )
 
 

@@ -33,10 +33,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="did you mean 'model'"):
             ServeCluster(serve_bench, shard_by="modle")
 
-    def test_unknown_backend_fails_fast(self, serve_bench):
-        with pytest.raises(ConfigError, match="unknown backend"):
-            ServeCluster(serve_bench, backend="tpu")
-
     def test_warm_requires_start(self, serve_bench):
         cluster = ServeCluster(serve_bench, workers=1)
         with pytest.raises(ConfigError, match="not started"):

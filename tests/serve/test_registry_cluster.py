@@ -182,7 +182,6 @@ class TestBitIdentityWithLegacy:
                     bench.config.seed,
                     registry=MetricRegistry(),
                     compile_models=False,
-                    backend=None,
                 )
             )
         return np.concatenate(rows)

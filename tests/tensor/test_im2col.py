@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compile.backends.fast import _SHIFT_MIN_CHANNELS
 from repro.errors import ShapeError
 from repro.tensor.im2col import col2im, conv_output_size, get_plan, im2col
 from repro.tensor.pool import default_pool
@@ -161,15 +160,10 @@ class TestAdjointRegression:
 def gather_cases(draw):
     """An NCHW batch and conv geometry for the differential tests.
 
-    Channels straddle the fast backend's shift threshold (panels below,
-    shift-and-GEMM at and above); about one value in ten is ``-0.0``.
+    About one value in ten is ``-0.0``.
     """
     n = draw(st.sampled_from([1, 5, 32]))
-    c = draw(
-        st.sampled_from(
-            [1, 3, _SHIFT_MIN_CHANNELS - 1, _SHIFT_MIN_CHANNELS, _SHIFT_MIN_CHANNELS + 1]
-        )
-    )
+    c = draw(st.sampled_from([1, 3, 7, 8, 9]))
     k = draw(st.sampled_from([1, 3, 5]))
     s = draw(st.sampled_from([1, 2]))
     p = draw(st.integers(0, 2))
@@ -187,8 +181,7 @@ def gather_cases(draw):
         x = base[..., ::2]
     elif layout == "channels_last":
         x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-    rows = sorted(draw(st.tuples(st.integers(0, n), st.integers(0, n))))
-    return x, (k, k), (s, s), (p, p), rows
+    return x, (k, k), (s, s), (p, p)
 
 
 def assert_bit_equal(actual, expected):
@@ -203,30 +196,10 @@ class TestSingleGather:
     @given(gather_cases())
     @settings(max_examples=80, deadline=None)
     def test_im2col_matches_strided_oracle(self, case):
-        x, kernel, stride, padding, _ = case
+        x, kernel, stride, padding = case
         cols = im2col(x, kernel, stride, padding)
         assert_bit_equal(cols, strided_im2col(x, kernel, stride, padding))
         default_pool().release(cols)
-
-    @given(gather_cases())
-    @settings(max_examples=80, deadline=None)
-    def test_row_range_matches_strided_oracle(self, case):
-        """The fast backend's panels: one prepared source, row ranges."""
-        x, kernel, stride, padding, (i0, i1) = case
-        n, c, h, w = x.shape
-        plan = get_plan(c, h, w, kernel, stride, padding)
-        pool = default_pool()
-        src, owned = plan.source(x, pool)
-        positions = plan.out_h * plan.out_w
-        out = np.empty((i1 - i0, positions, plan.patch_len), x.dtype)
-        assert plan.gather(src, pool, rows=(i0, i1), out=out) is out
-        if owned is not None:
-            pool.release(owned)
-        expected = strided_im2col(x, kernel, stride, padding)
-        assert_bit_equal(
-            out.reshape(-1, plan.patch_len),
-            expected[i0 * positions : i1 * positions],
-        )
 
     def test_mis_sized_input_raises(self):
         plan = get_plan(3, 8, 8, (3, 3), (1, 1), (1, 1))
@@ -234,7 +207,7 @@ class TestSingleGather:
         with pytest.raises(ShapeError):
             plan.gather(np.zeros((2, 3, 8, 9), np.float32), pool)
         with pytest.raises(ShapeError):
-            plan.gather(np.zeros((2, 3 * 10 * 10 - 1), np.float32), pool)
+            plan.gather(np.zeros((2, 4, 8, 8), np.float32), pool)
 
 
 class TestSingleCopy:

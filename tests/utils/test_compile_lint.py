@@ -47,7 +47,7 @@ class TestFindKernelUses:
         source = textwrap.dedent(
             '''
             def f():
-                """Backends lower to repro.compile.kernels steps.
+                """The scheduler lowers to repro.compile.kernels steps.
 
                 Example::
 
@@ -62,7 +62,7 @@ class TestFindKernelUses:
         source = (
             "from repro.compile import maybe_compiled\n"
             "from repro.compile.ir import Graph\n"
-            "from repro.compile.backends import get_backend\n"
+            "from repro.compile.schedule import realize\n"
         )
         assert compile_lint.find_kernel_uses(source, "<t>") == []
 
@@ -96,10 +96,11 @@ class TestLintTree:
         ]
 
     def test_backend_layer_is_allowed(self, tmp_path):
+        """The scheduler and the kernels module itself may import them."""
         root = self._tree(
             tmp_path,
             {
-                "repro/compile/backends/reference.py": (
+                "repro/compile/schedule.py": (
                     "from repro.compile.kernels import FusedConvStep\n"
                 ),
                 "repro/compile/kernels.py": "x = 1\n",
@@ -128,11 +129,11 @@ class TestMain:
         assert compile_lint.main(["--root", str(dirty)]) == 1
         out = capsys.readouterr().out
         assert "b.py:1" in out
-        assert "repro.compile.backends" in out
+        assert "repro.compile.schedule.realize" in out
 
 
 class TestRepoTreeIsClean:
     def test_src_only_backends_touch_kernels(self):
-        """Tier-1 gate: compute routes through the backend dispatcher."""
+        """Tier-1 gate: compute routes through realization."""
         violations = compile_lint.lint_tree(SRC_ROOT)
         assert violations == [], "\n".join(violations)

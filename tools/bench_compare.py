@@ -19,7 +19,7 @@ baseline in the same change.  Speedups beyond the threshold are flagged
 as a hint to refresh the baseline with ``--update``.
 
 Hand-recorded medians (``BENCH_serve.json``, ``BENCH_parallel_sweep
-.json``, ``BENCH_compiled.json``, ``BENCH_backends.json``) are diffed
+.json``, ``BENCH_compiled.json``, ``BENCH_explore.json``) are diffed
 too: their ``median_seconds`` entries are matched against the current
 run by bare test name and gated by the same threshold.  A recorded
 file may carry its own ``budget`` (fractional slowdown tolerated,
@@ -54,7 +54,6 @@ DEFAULT_RECORDED = (
     os.path.join(REPO_ROOT, "BENCH_serve.json"),
     os.path.join(REPO_ROOT, "BENCH_parallel_sweep.json"),
     os.path.join(REPO_ROOT, "BENCH_compiled.json"),
-    os.path.join(REPO_ROOT, "BENCH_backends.json"),
     os.path.join(REPO_ROOT, "BENCH_explore.json"),
 )
 

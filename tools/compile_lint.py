@@ -1,14 +1,14 @@
-"""Kernel-layering linter: only backends may touch repro.compile.kernels.
+"""Kernel-layering linter: only the scheduler may touch repro.compile.kernels.
 
-The compiled executor is split into a lazy IR, a scheduler and
-pluggable backends; the fused numpy kernels in
-``repro.compile.kernels`` are an implementation detail of the
-*reference backend*.  Code that imports them directly bypasses the
-backend dispatcher — it keeps working right up until someone swaps the
-backend, and then silently diverges.  This tool walks every module
-under ``src/`` and fails on any import of ``repro.compile.kernels``
-(or attribute access spelling the dotted path) outside the backend
-layer.
+The compiled executor is split into a lazy IR, a scheduler and the
+fused numpy kernels in ``repro.compile.kernels``; the kernels are an
+implementation detail of realization.  Code that builds kernel steps
+directly bypasses the IR, fusion and the compiled-model cache — it
+keeps working right up until the lowering changes, and then silently
+diverges from the interpreter.  This tool walks every module under
+``src/`` and fails on any import of ``repro.compile.kernels`` (or
+attribute access spelling the dotted path) outside
+``repro/compile/schedule.py`` and the kernels module itself.
 
 The check is AST-based, not a grep: docstrings legitimately *mention*
 ``repro.compile.kernels`` when documenting the layering rule, and a
@@ -35,9 +35,8 @@ from typing import List, Optional, Tuple
 FENCED = "repro.compile.kernels"
 
 #: Modules (relative to the lint root) allowed to import the kernels:
-#: the backend layer, and the kernels module itself.
-ALLOWLIST_PREFIXES = ("repro/compile/backends/",)
-ALLOWLIST = ("repro/compile/kernels.py",)
+#: the scheduler, and the kernels module itself.
+ALLOWLIST = ("repro/compile/schedule.py", "repro/compile/kernels.py")
 
 DEFAULT_ROOT = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "src"
@@ -101,9 +100,7 @@ def find_kernel_uses(source: str, filename: str) -> List[Tuple[int, str]]:
     return found
 
 
-def lint_tree(
-    root: str, allowlist=ALLOWLIST, prefixes=ALLOWLIST_PREFIXES
-) -> List[str]:
+def lint_tree(root: str, allowlist=ALLOWLIST) -> List[str]:
     """Violation messages for every fenced kernel use under ``root``."""
     violations = []
     for dirpath, _dirnames, filenames in os.walk(root):
@@ -112,7 +109,7 @@ def lint_tree(
                 continue
             path = os.path.join(dirpath, filename)
             rel = os.path.relpath(path, root).replace(os.sep, "/")
-            if rel in allowlist or rel.startswith(prefixes):
+            if rel in allowlist:
                 continue
             with open(path) as fh:
                 source = fh.read()
@@ -134,7 +131,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if violations:
         print(
             f"direct repro.compile.kernels use under {root} "
-            "(route through repro.compile.backends instead):"
+            "(route through repro.compile.schedule.realize instead):"
         )
         for violation in violations:
             print(f"  {violation}")
