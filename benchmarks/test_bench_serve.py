@@ -1,21 +1,20 @@
-"""Benchmark: serving — direct forward, threaded engine, process cluster.
+"""Benchmark: serving — direct forward vs the process cluster.
 
-Times 64 requests against the noisy eval-only AMS model five ways: one
-synchronous whole-set forward (``classify_direct``, the floor), through
-the micro-batching engine at 1 and 4 executor threads, and through the
-multi-process :class:`~repro.serve.ServeCluster` at 1 and 4 replica
-processes.  The checked-in ``BENCH_serve.json`` medians carry the
-``host`` block they were measured on; ``tools/bench_compare.py``
-downgrades regressions to warnings when the current machine's CPU
-count differs, so the numbers stay meaningful without hand-edited
-caveats.
+Times 64 requests against the noisy eval-only AMS model three ways: one
+synchronous whole-set forward through
+:func:`~repro.serve.executor.forward_with_request_noise` (the floor),
+and through the multi-process :class:`~repro.serve.ServeCluster` at 1
+and 4 replica processes.  The checked-in ``BENCH_serve.json`` medians
+carry the ``host`` block they were measured on;
+``tools/bench_compare.py`` downgrades regressions to warnings when the
+current machine's CPU count differs, so the numbers stay meaningful
+without hand-edited caveats.
 
 ``test_cluster_scaling_multicore`` asserts the headline perf claim —
 >= 1.5x throughput at 4 replica processes vs 1 — and is skipped below
-4 CPUs, where separate processes cannot overlap compute.
-``test_cluster_weights_are_shared`` holds the memory claim on any
-host: every replica binds 100% of the published weight bytes from the
-mmap, no per-worker copies.
+4 CPUs, where separate processes cannot overlap compute.  The memory
+claim (every replica binds the published mmap) is a tier-1 test:
+``tests/serve/test_shared.py::test_cluster_weights_are_shared``.
 """
 
 import os
@@ -26,7 +25,8 @@ import pytest
 
 from benchmarks.conftest import bench_config, run_rounds
 from repro.experiments.common import Workbench
-from repro.serve import InferenceEngine, ModelSpec, ServeCluster
+from repro.serve import ModelSpec, ServeCluster
+from repro.serve.executor import forward_with_request_noise
 
 SPEC = ModelSpec("ams_eval", enob=4.0)
 REQUESTS = 64
@@ -34,16 +34,10 @@ REQUESTS = 64
 CLUSTER_BATCH = 8
 
 
-def _warm(tmp_path, workers):
-    """An engine whose model is trained and cached before timing."""
-    bench = Workbench(bench_config(tmp_path))
-    engine = InferenceEngine(
-        bench, max_batch=16, max_wait_ms=2.0, workers=workers
-    )
-    engine.warm(SPEC)
+def _requests(bench):
     images = bench.data.val.images
     reps = -(-REQUESTS // len(images))
-    return engine, np.concatenate([images] * reps)[:REQUESTS]
+    return np.concatenate([images] * reps)[:REQUESTS]
 
 
 def _warm_cluster(tmp_path, workers):
@@ -51,9 +45,7 @@ def _warm_cluster(tmp_path, workers):
     bench = Workbench(bench_config(tmp_path))
     cluster = ServeCluster(bench, workers=workers).start()
     cluster.warm(SPEC)
-    images = bench.data.val.images
-    reps = -(-REQUESTS // len(images))
-    return cluster, np.concatenate([images] * reps)[:REQUESTS]
+    return cluster, _requests(bench)
 
 
 def _serve_all(cluster, images):
@@ -71,22 +63,15 @@ def _serve_all(cluster, images):
 
 @pytest.mark.benchmark(group="serve")
 def test_serve_direct(benchmark, tmp_path):
-    engine, images = _warm(tmp_path, workers=1)
-    run_rounds(benchmark, lambda: engine.classify_direct(SPEC, images))
-
-
-@pytest.mark.benchmark(group="serve")
-def test_serve_batched_w1(benchmark, tmp_path):
-    engine, images = _warm(tmp_path, workers=1)
-    with engine:
-        run_rounds(benchmark, lambda: engine.classify(SPEC, images))
-
-
-@pytest.mark.benchmark(group="serve")
-def test_serve_batched_w4(benchmark, tmp_path):
-    engine, images = _warm(tmp_path, workers=4)
-    with engine:
-        run_rounds(benchmark, lambda: engine.classify(SPEC, images))
+    bench = Workbench(bench_config(tmp_path))
+    model, _meta = bench.registry.get(SPEC)
+    images = _requests(bench)
+    ids = list(range(REQUESTS))
+    seed = bench.config.seed
+    run_rounds(
+        benchmark,
+        lambda: forward_with_request_noise(model, images, ids, seed),
+    )
 
 
 @pytest.mark.benchmark(group="serve-cluster")
@@ -119,9 +104,7 @@ def test_cluster_scaling_multicore(tmp_path):
     timed region.
     """
     bench = Workbench(bench_config(tmp_path))
-    images = bench.data.val.images
-    reps = -(-REQUESTS // len(images))
-    images = np.concatenate([images] * reps)[:REQUESTS]
+    images = _requests(bench)
     elapsed = {}
     for workers in (1, 4):
         cluster = ServeCluster(bench, workers=workers).start()
@@ -138,27 +121,3 @@ def test_cluster_scaling_multicore(tmp_path):
         f"4 replica processes gave only {speedup:.2f}x over 1 "
         f"(w1={elapsed[1]:.3f}s, w4={elapsed[4]:.3f}s)"
     )
-
-
-def test_cluster_weights_are_shared(tmp_path):
-    """The memory claim: replicas bind the published mmap, not copies.
-
-    Every replica must report 100% of its parameter bytes backed by
-    the shared mapping; the per-replica RSS is reported alongside so a
-    regression to copied weights shows up as both a fraction drop and
-    an RSS jump.
-    """
-    cluster, images = _warm_cluster(tmp_path, workers=2)
-    try:
-        _serve_all(cluster, images)  # fault the mapping in before reading
-        info = cluster.meminfo()
-        assert len(info) == 2
-        for replica, report in info.items():
-            assert report["models"] == 1
-            assert report["shared_fraction"] == pytest.approx(1.0), (
-                f"replica {replica} copied weights instead of binding "
-                f"the shared mapping: {report}"
-            )
-            assert report["rss_kb"] > 0
-    finally:
-        cluster.stop()

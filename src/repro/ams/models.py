@@ -30,7 +30,7 @@ lives in :mod:`repro.ams.zoo` and registers itself on import.
 All randomness inside ``repro/ams/`` must flow through
 :class:`NoiseStreams` (``tools/errmodel_lint.py`` forbids bare
 ``np.random`` calls in this package as a tier-1 check) so that the
-trainer, the compiled executor and the serving engine's per-request
+trainer, the compiled executor and the serving executor's per-request
 row generators all see exactly the streams the host attached.
 """
 
@@ -151,7 +151,7 @@ class NoiseStreams:
     """The RNG surface handed to :meth:`ErrorModel.sample`.
 
     Wraps the injector's persistent generator (training, repeated
-    evaluation), the per-batch-row generators the serving engine
+    evaluation), the per-batch-row generators the serving executor
     attaches for per-request determinism, and any extra named streams
     the model declared via :attr:`ErrorModel.extra_streams`.  Models
     draw only through this object — never from ``np.random`` directly
@@ -551,8 +551,8 @@ class AMSErrorInjector(Module):
         sample's noise from its own stream, so a sample's error depends
         only on its generator — never on which other requests were
         coalesced into the same batch.  This is what lets the serving
-        engine's dynamic micro-batcher stay reproducible per request at
-        any concurrency (see :mod:`repro.serve.engine`).
+        front door's dynamic micro-batcher stay reproducible per request
+        at any concurrency (see :mod:`repro.serve.executor`).
         """
         self.row_rngs = list(rngs) if rngs is not None else None
 

@@ -111,7 +111,7 @@ def _note_fallback(registry, reason: str, warn: bool) -> None:
     """Count (and warn once per reason about) an interpreter fallback.
 
     The compiled path falling back to the interpreter is silent at the
-    call site by design — eval loops and the serve engine just keep
+    call site by design — eval loops and the serving executor just keep
     working — but it must never be *invisible*: a fleet quietly running
     5x slower is an outage in slow motion.  Every fallback lands in the
     ``compile.interpreter_fallback`` counter labeled with its reason,

@@ -204,7 +204,7 @@ class CompiledModel:
     most ``_MAX_BINDINGS`` shapes stay bound (LRU); evicted tapes hand
     their buffers back to the pool.  Runs are serialized by an internal
     lock — concurrent callers share one executor safely, as the serving
-    engine's per-model lock already assumes.
+    executors' per-model locks already assume.
 
     Execute wall times land in the ``compile.execute_seconds``
     histogram of the default metric registry.

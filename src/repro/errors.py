@@ -38,11 +38,11 @@ class CompileError(ReproError):
 
 
 class ServiceOverloadError(ReproError):
-    """The inference service's bounded queue is saturated.
+    """The serving front door's bounded queue is saturated.
 
     Raised instead of queueing unboundedly; callers should back off and
     retry, or configure a fallback spec for graceful degradation (see
-    :class:`repro.serve.InferenceService`).
+    :class:`repro.serve.FrontDoor`).
     """
 
 

@@ -122,7 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="run the batched inference service over a trained model",
+        help="serve classify requests through the front door over a "
+        "trained model",
     )
     serve.add_argument(
         "--spec",
@@ -133,17 +134,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--requests", type=int, default=256, help="requests to serve"
     )
     serve.add_argument(
-        "--serve-workers",
-        type=int,
-        default=2,
-        help="batch-executor threads in the engine",
-    )
-    serve.add_argument(
         "--workers",
         type=int,
         default=None,
         help="replica processes for the multi-process cluster; omit to "
-        "serve in-process (the thread-pool service)",
+        "serve in-process (one executor thread)",
     )
     serve.add_argument(
         "--shard-by",
@@ -158,13 +153,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-wait-ms",
         type=float,
         default=2.0,
-        help="micro-batcher coalescing window: in-process, how long a "
-        "batch waits for stragglers; with --workers N, the longest a "
-        "partial batch waits while every replica is busy (it goes at "
-        "once to an idle replica)",
+        help="micro-batcher coalescing window: the longest a partial "
+        "batch waits while every replica is busy (it goes at once to "
+        "an idle replica)",
     )
     serve.add_argument(
-        "--queue-size", type=int, default=128, help="admission queue bound"
+        "--queue-size",
+        type=int,
+        default=128,
+        help="admission queue bound; also the most requests the bulk "
+        "client keeps outstanding",
     )
     serve.add_argument(
         "--timeout-s", type=float, default=60.0, help="per-request deadline"
@@ -655,9 +653,31 @@ def _handle_serve(args, argv: List[str]) -> int:
 
 
 def _serve_body(args, config) -> int:
+    """Serve ``--requests`` through the front door over one executor.
+
+    The executor is in-process, or ``--workers N`` replica processes.
+    At most ``--queue-size`` requests are outstanding at once: the
+    loop waits on the oldest before it submits the next, so a bulk run
+    applies backpressure instead of overflowing the admission queue.
+
+    Interrupt contract matches sweeps: the first SIGINT/SIGTERM drains
+    — outstanding requests finish, replicas stop cleanly, the journal
+    records what was served — and the run exits 130 with a resume hint.
+    """
+    from collections import deque
+
     import numpy as np
 
-    from repro.serve import InferenceEngine, InferenceService, ModelSpec
+    from repro.ckpt import interrupt_requested
+    from repro.errors import RunInterrupted
+    from repro.obs.journal import current_journal, journal_event
+    from repro.obs.result import EvalResult
+    from repro.serve import (
+        ClusterService,
+        InProcessExecutor,
+        ModelSpec,
+        ServeCluster,
+    )
     from repro.utils import profiler
 
     bench = Workbench(config, jobs=args.jobs)
@@ -665,127 +685,67 @@ def _serve_body(args, config) -> int:
     fallback = (
         ModelSpec.parse(args.fallback_spec) if args.fallback_spec else None
     )
-    if args.workers is not None:
-        return _serve_cluster_body(args, config, bench, spec, fallback)
-    engine = InferenceEngine(
-        bench,
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        workers=args.serve_workers,
-    )
-    print(f"warming {spec}" + (f" (fallback {fallback})" if fallback else ""))
-    engine.warm(spec, *([fallback] if fallback else []))
-
-    images = bench.data.val.images
-    labels = bench.data.val.labels
-    count = args.requests
-    prof_ctx = profiler.profiled() if args.profile_ops else None
-    prof = prof_ctx.__enter__() if prof_ctx else None
-    try:
-        with engine, InferenceService(
-            engine,
-            queue_size=args.queue_size,
-            workers=2,
-            timeout_s=args.timeout_s,
-            fallback_spec=fallback,
-        ) as service:
-            start = time.time()
-            futures = [
-                service.submit(
-                    spec, images[i % len(images)], request_id=i, block=True
-                )
-                for i in range(count)
-            ]
-            predictions = [f.result(timeout=args.timeout_s) for f in futures]
-            elapsed = time.time() - start
-    finally:
-        if prof_ctx:
-            prof_ctx.__exit__(None, None, None)
-
-    from repro.obs.journal import current_journal, journal_event
-    from repro.obs.result import EvalResult
-
-    result = EvalResult.from_predictions(
-        predictions,
-        [labels[i % len(labels)] for i in range(count)],
-        wall_time_s=elapsed,
-        noise_seed=args.seed,
-    )
-    degraded = sum(p.degraded for p in predictions)
-    journal_event("serve.stats", stats=engine.stats().snapshot())
-    journal_event("note", message=f"serve eval result: {result!r}")
-    journal = current_journal()
-    if journal is not None:
-        journal.metrics_snapshot(engine.stats().registry, scope="serve")
-    print(engine.stats().report())
-    print(
-        f"\nserved {count} requests in {elapsed:.2f}s "
-        f"({count / elapsed:.1f} req/s), accuracy {result:.4f}"
-        + (f", {degraded} degraded" if degraded else "")
-    )
-    if prof is not None:
-        print()
-        print(prof.report())
-    batch_sizes = [p.batch_size for p in predictions]
-    print(
-        f"batch sizes: min {min(batch_sizes)}, "
-        f"mean {np.mean(batch_sizes):.2f}, max {max(batch_sizes)}"
-    )
-    return 0
-
-
-def _serve_cluster_body(args, config, bench, spec, fallback) -> int:
-    """Serve through the multi-process cluster and its async front door.
-
-    Interrupt contract matches sweeps: the first SIGINT/SIGTERM drains
-    — outstanding requests finish, replicas stop cleanly, the journal
-    records what was served — and the run exits 130 with a resume hint.
-    """
-    from repro.ckpt import interrupt_requested
-    from repro.errors import RunInterrupted
-    from repro.obs.journal import current_journal, journal_event
-    from repro.obs.result import EvalResult
-    from repro.serve import ClusterService, ServeCluster
-
-    print(
-        f"starting cluster: {args.workers} replica processes, "
-        f"shard_by={args.shard_by}"
-    )
+    if args.workers is None:
+        executor = InProcessExecutor(bench)
+    else:
+        print(
+            f"starting cluster: {args.workers} replica processes, "
+            f"shard_by={args.shard_by}"
+        )
+        executor = ServeCluster(
+            bench, workers=args.workers, shard_by=args.shard_by
+        )
     images = bench.data.val.images
     labels = bench.data.val.labels
     count = args.requests
     interrupted = False
-    with ServeCluster(
-        bench, workers=args.workers, shard_by=args.shard_by
-    ) as cluster:
-        print(f"warming {spec}" + (f" (fallback {fallback})" if fallback else ""))
-        cluster.warm(spec, *([fallback] if fallback else []))
-        with ClusterService(
-            cluster,
-            queue_size=args.queue_size,
-            max_batch=args.max_batch,
-            max_wait_s=args.max_wait_ms / 1e3,
-            timeout_s=args.timeout_s,
-            fallback_spec=fallback,
-        ) as service:
-            start = time.time()
-            futures = []
-            for i in range(count):
-                if interrupt_requested():
-                    interrupted = True
-                    break
-                futures.append(
-                    service.submit(spec, images[i % len(images)], i)
+    prof_ctx = profiler.profiled() if args.profile_ops else None
+    prof = prof_ctx.__enter__() if prof_ctx else None
+    try:
+        with executor:
+            print(
+                f"warming {spec}"
+                + (f" (fallback {fallback})" if fallback else "")
+            )
+            executor.warm(spec, *([fallback] if fallback else []))
+            with ClusterService(
+                executor,
+                queue_size=args.queue_size,
+                max_batch=args.max_batch,
+                max_wait_s=args.max_wait_ms / 1e3,
+                timeout_s=args.timeout_s,
+                fallback_spec=fallback,
+            ) as service:
+                start = time.time()
+                outstanding = deque()
+                predictions = []
+                for i in range(count):
+                    if interrupt_requested():
+                        interrupted = True
+                        break
+                    if len(outstanding) >= args.queue_size:
+                        oldest = outstanding.popleft()
+                        predictions.append(
+                            oldest.result(timeout=args.timeout_s)
+                        )
+                    outstanding.append(
+                        service.submit(spec, images[i % len(images)], i)
+                    )
+                predictions.extend(
+                    f.result(timeout=args.timeout_s) for f in outstanding
                 )
-            predictions = [f.result(timeout=args.timeout_s) for f in futures]
-            elapsed = time.time() - start
-        cluster.flush_worker_stats()
-        stats = cluster.stats()
-        journal_event("serve.stats", stats=stats.snapshot())
-        journal = current_journal()
-        if journal is not None:
-            journal.metrics_snapshot(stats.registry, scope="serve")
-        print(stats.report())
+                elapsed = time.time() - start
+            if args.workers is not None:
+                executor.flush_worker_stats()
+            stats = executor.stats()
+            journal_event("serve.stats", stats=stats.snapshot())
+            journal = current_journal()
+            if journal is not None:
+                journal.metrics_snapshot(stats.registry, scope="serve")
+            print(stats.report())
+    finally:
+        if prof_ctx:
+            prof_ctx.__exit__(None, None, None)
     served = len(predictions)
     if served:
         result = EvalResult.from_predictions(
@@ -794,10 +754,20 @@ def _serve_cluster_body(args, config, bench, spec, fallback) -> int:
             wall_time_s=elapsed,
             noise_seed=args.seed,
         )
+        degraded = sum(p.degraded for p in predictions)
         journal_event("note", message=f"serve eval result: {result!r}")
         print(
             f"\nserved {served} requests in {elapsed:.2f}s "
             f"({served / elapsed:.1f} req/s), accuracy {result:.4f}"
+            + (f", {degraded} degraded" if degraded else "")
+        )
+        if prof is not None:
+            print()
+            print(prof.report())
+        batch_sizes = [p.batch_size for p in predictions]
+        print(
+            f"batch sizes: min {min(batch_sizes)}, "
+            f"mean {np.mean(batch_sizes):.2f}, max {max(batch_sizes)}"
         )
     if interrupted:
         raise RunInterrupted(

@@ -6,9 +6,9 @@ deliberately minimal so instrumented hot paths stay cheap:
 - **zero dependencies** — no numpy on any code path here; values are
   plain ints/floats and percentile math is avoided (histograms hold
   fixed bucket counts, exact samples stay with the callers that need
-  exact percentiles, e.g. :class:`repro.serve.stats.EngineStatsView`);
+  exact percentiles, e.g. :class:`repro.serve.stats.ServeStats`);
 - **lock-protected** — every metric carries its own small lock; an
-  ``inc`` is one acquire, matching what the old ``EngineStats`` paid;
+  ``inc`` is one acquire;
 - **labeled children** — ``registry.counter("serve.requests_executed",
   spec="quant:bw8:bx8")`` returns a child keyed by the sorted label
   items, so one logical metric fans out per model/spec/worker.
@@ -228,10 +228,9 @@ class MetricRegistry:
     """Thread-safe, name-keyed home for every metric of a process.
 
     One process-wide default instance (:func:`default_registry`) serves
-    subsystems with global state (training, sweeps, compilation); the
-    serving engine gives each engine its own registry so per-engine
-    snapshots stay independent (see
-    :class:`repro.serve.stats.EngineStatsView`).
+    subsystems with global state (training, sweeps, compilation); each
+    serving executor gets its own registry so per-executor snapshots
+    stay independent (see :class:`repro.serve.stats.ServeStats`).
     """
 
     def __init__(self):

@@ -139,11 +139,11 @@ class EvalResult(float):
         wall_time_s: float = 0.0,
         noise_seed: Optional[int] = None,
     ) -> "EvalResult":
-        """Accuracy + hash over serve-engine ``Prediction`` objects.
+        """Accuracy + hash over served ``Prediction`` objects.
 
         ``labels[i]`` is the ground truth for ``predictions[i]``; the
         hash chains each prediction's logits in request order, so two
-        serving runs that returned bit-identical logits (the engine's
+        serving runs that returned bit-identical logits (the executor's
         determinism contract) hash identically regardless of batching.
         """
         running = 0

@@ -94,10 +94,10 @@ def serve_batch_hist(events: List[dict]) -> Dict[str, Dict[int, int]]:
 
 
 def serve_replica_rows(events: List[dict]) -> List[List[object]]:
-    """One row per cluster replica from the last ``serve.stats`` event.
+    """One row per serving replica from the last ``serve.stats`` event.
 
     ``[replica, batches, requests, mean batch, p50 ms, p99 ms]``;
-    empty when the run served in-process (no ``replicas`` section).
+    the in-process executor is replica ``0``.
     """
     stats_events = events_of(events, "serve.stats")
     if not stats_events:
@@ -274,7 +274,7 @@ def summarize_run(run: str, results_dir: str = "results") -> str:
                 ["replica", "batches", "requests", "mean batch",
                  "p50 ms", "p99 ms"],
                 replicas,
-                title="serve cluster replicas (from serve.stats)",
+                title="serve replicas (from serve.stats)",
             )
         )
 

@@ -5,7 +5,7 @@ use.  A span:
 
 - times its block on the monotonic ``perf_counter`` clock;
 - nests — each thread keeps its own span stack, so a span knows its
-  parent and depth even under the serving engine's worker pool;
+  parent and depth even on the serving executor's thread;
 - **forwards into the op profiler**: when ``--profile-ops`` is active,
   every span shows up as an op record under its name, with the same
   pool-allocation deltas the kernel brackets report.  The legacy

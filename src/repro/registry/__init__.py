@@ -1,7 +1,7 @@
 """Multi-tenant model registry with tiered warm pools.
 
 ``repro.registry`` is the single model-acquisition API: everything
-that needs a trained model — experiments, the serving engine, the
+that needs a trained model — experiments, the serving executor, the
 multi-process cluster, the CLI — resolves a
 :class:`~repro.serve.spec.ModelSpec` through a
 :class:`ModelRegistry` and gets ``(model, metadata)`` back from

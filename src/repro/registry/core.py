@@ -1,7 +1,7 @@
 """The tiered, multi-tenant model-artifact registry.
 
 :class:`ModelRegistry` is the single model-acquisition path: every
-consumer — the experiment harness, the in-process serving engine, the
+consumer — the experiment harness, the in-process serving executor, the
 multi-process cluster — asks it for ``(model, metadata)`` by
 :class:`~repro.serve.spec.ModelSpec`, and the registry decides which
 tier answers:
@@ -96,7 +96,8 @@ class ModelRegistry:
         their tier traffic in the final journal snapshot).
     compile_models:
         Lower models to the compiled executor when they enter the warm
-        tier, same semantics as the serving engine's knob.  The cold
+        tier (unless :func:`repro.compile.disabled` is in effect), so
+        the first served batch does not pay the lowering.  The cold
         (``fresh=True``) path never compiles, matching the legacy
         workbench behaviour bit for bit.
     """

@@ -5,20 +5,21 @@ The serving stack, bottom to top:
 - :class:`ModelSpec` — the frozen public identity of every model the
   workbench can build (``repro.registry`` resolves it through the
   tiered model registry, the single acquisition entry point);
-- :class:`InferenceEngine` — registry warm tier + dynamic
-  micro-batcher with per-request deterministic AMS noise streams;
-- :class:`InferenceService` — bounded thread-pool front end with
-  deadlines, backpressure and graceful degradation (single process);
-- :class:`ServeCluster` + :class:`FrontDoor` — the multi-process
-  deployment: N replica processes binding one mmap-published weight
-  store (:mod:`repro.serve.shared`), fronted by an asyncio admission/
-  batching layer with load shedding and rolling restarts;
-  :class:`ClusterService` is the blocking facade over both.
+- an **executor** — runs ready-made batches with per-request
+  deterministic AMS noise streams.  Two implementations answer the
+  same calls: :class:`InProcessExecutor` (one thread in this process)
+  and :class:`ServeCluster` (N replica processes binding one
+  mmap-published weight store, :mod:`repro.serve.shared`, with
+  rolling restarts);
+- :class:`FrontDoor` — the one admission layer: an asyncio
+  admission/batching front over either executor, with load shedding,
+  degradation to a fallback spec and deadlines;
+  :class:`ClusterService` is its blocking facade.
 
 Per-request determinism holds across the whole stack: the same
 ``(spec, seed, request_id, image)`` yields bit-identical logits from
-the in-process engine and from a cluster at any replica count, because
-every path runs the one shared forward primitive
+the in-process executor and from a cluster at any replica count,
+because every path runs the one shared forward primitive
 (:func:`repro.serve.executor.forward_with_request_noise`).
 
 Command line::
@@ -30,26 +31,22 @@ See ``docs/serving.md`` for the architecture and the knobs.
 """
 
 from repro.serve.cluster import SHARD_POLICIES, ClusterService, ServeCluster
-from repro.serve.engine import InferenceEngine, Prediction
-from repro.serve.frontdoor import FrontDoor
-from repro.serve.service import InferenceService
+from repro.serve.executor import InProcessExecutor
+from repro.serve.frontdoor import FrontDoor, Prediction
 from repro.serve.shared import SharedWeights, bind_shared, publish_weights
 from repro.serve.spec import VARIANTS, ModelSpec
-from repro.serve.stats import ClusterStatsView, EngineStats, EngineStatsView
+from repro.serve.stats import ServeStats
 
 __all__ = [
     "ModelSpec",
     "VARIANTS",
     "SHARD_POLICIES",
-    "InferenceEngine",
-    "InferenceService",
+    "InProcessExecutor",
     "ServeCluster",
     "ClusterService",
     "FrontDoor",
     "Prediction",
-    "EngineStats",
-    "EngineStatsView",
-    "ClusterStatsView",
+    "ServeStats",
     "SharedWeights",
     "bind_shared",
     "publish_weights",

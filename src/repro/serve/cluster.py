@@ -1,9 +1,10 @@
 """Shared-nothing multi-process serving cluster.
 
-:class:`ServeCluster` grows the single-process micro-batcher into a
-cluster of N replica **processes**, each running the same compiled
-engine code path (:func:`repro.serve.executor.forward_with_request_noise`)
-the in-process :class:`~repro.serve.engine.InferenceEngine` uses —
+:class:`ServeCluster` is the multi-process implementation of the
+executor interface the :class:`~repro.serve.frontdoor.FrontDoor`
+drives: N replica **processes**, each running the same forward
+(:func:`repro.serve.executor.forward_with_request_noise`) the
+in-process :class:`~repro.serve.executor.InProcessExecutor` runs —
 which is what makes per-request determinism structural: the same
 ``(spec, seed, request_id, image)`` produces bit-identical logits at
 any replica count, for every registered error model.
@@ -35,16 +36,16 @@ Key mechanics:
   never drops below N-0 serving capacity.
 - **telemetry** — the parent records per-replica batch counts,
   in-flight depth and exact p50/p99 into a
-  :class:`~repro.serve.stats.ClusterStatsView`; worker-local counters
+  :class:`~repro.serve.stats.ServeStats`; worker-local counters
   (compiled/interpreted batches, worker wall time) are drained and
   merged under a ``replica`` label via the atomic
   ``MetricRegistry.merge_snapshot``, so ``obs summary`` reconstructs
   the cluster report from the journal.
 
-:class:`ClusterService` is the synchronous facade: it runs the asyncio
-front door (:mod:`repro.serve.frontdoor`) on a dedicated event-loop
-thread and exposes the same blocking ``submit``/``classify`` shape the
-thread-pool :class:`~repro.serve.service.InferenceService` has.
+:class:`ClusterService` is the synchronous facade over either
+executor: it runs the asyncio front door (:mod:`repro.serve.frontdoor`)
+on a dedicated event-loop thread and exposes blocking
+``submit``/``classify`` calls.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ import numpy as np
 from repro.errors import (
     ConfigError,
     ReplicaError,
+    ServiceOverloadError,
     ServiceTimeoutError,
     WorkerLostError,
 )
@@ -80,7 +82,7 @@ from repro.serve.shared import (
     publish_weights,
 )
 from repro.serve.spec import ModelSpec
-from repro.serve.stats import LATENCY_MS_BUCKETS, ClusterStatsView
+from repro.serve.stats import LATENCY_MS_BUCKETS, ServeStats
 
 #: Recognized request-routing policies.
 SHARD_POLICIES: Tuple[str, ...] = ("none", "model")
@@ -105,6 +107,7 @@ def _worker_main(worker_id: int, conn, init: dict) -> None:
     boundary — the in-flight batch always completes and is replied to
     before the process exits.
     """
+    from repro import compile as repro_compile
     from repro.ckpt.signals import clear_interrupt, install_handlers
     from repro.ckpt.signals import interrupt_requested
     from repro.experiments.common import Workbench
@@ -116,7 +119,7 @@ def _worker_main(worker_id: int, conn, init: dict) -> None:
     mark_worker_process()
     bench = Workbench(init["config"])
     seed = init["seed"]
-    compile_models = init["compile_models"]
+    repro_compile.set_enabled(init["compile"])
     registry = MetricRegistry()
     models: Dict[str, object] = {}
 
@@ -135,10 +138,7 @@ def _worker_main(worker_id: int, conn, init: dict) -> None:
             if entry.get("input_max_abs") is not None:
                 model.input_adapter.max_abs = entry["input_max_abs"]
             model.eval()
-            if compile_models:
-                from repro.compile import maybe_compiled
-
-                maybe_compiled(model)
+            repro_compile.maybe_compiled(model)
             models[token] = model
         fractions = [bound_fraction(m) for m in models.values()]
         return {
@@ -157,12 +157,7 @@ def _worker_main(worker_id: int, conn, init: dict) -> None:
             )
         start = perf_counter()
         logits = forward_with_request_noise(
-            model,
-            images,
-            request_ids,
-            seed,
-            registry=registry,
-            compile_models=compile_models,
+            model, images, request_ids, seed, registry=registry
         )
         # Looked up per batch, like the counters: the "stats" command
         # drains the registry, which unregisters every metric.
@@ -387,10 +382,7 @@ class ServeCluster:
         ``"model"`` pins each spec to one replica by token CRC.
     seed:
         Root of the per-request noise streams (default: the workbench
-        config's seed) — the same contract as the in-process engine.
-    compile_models:
-        Forwarded to each replica's executor, same semantics as
-        :class:`~repro.serve.engine.InferenceEngine`.
+        config's seed) — the same contract as the in-process executor.
     share_dir:
         Directory for the published weight blobs (default: a fresh
         temp dir, removed on :meth:`stop`).
@@ -412,7 +404,6 @@ class ServeCluster:
         workers: int = 2,
         shard_by: str = "none",
         seed: Optional[int] = None,
-        compile_models: bool = True,
         share_dir: Optional[str] = None,
         registry=None,
         tenant: str = "default",
@@ -432,7 +423,6 @@ class ServeCluster:
         self.workers = workers
         self.shard_by = shard_by
         self.seed = workbench.config.seed if seed is None else seed
-        self.compile_models = compile_models
         self._own_share_dir = share_dir is None
         self.share_dir = share_dir
         self._ctx = multiprocessing.get_context(start_method())
@@ -442,7 +432,7 @@ class ServeCluster:
         self._turns = itertools.count()
         #: token -> warm payload ({"weights": SharedWeights, ...}).
         self._published: Dict[str, dict] = {}
-        self._stats = ClusterStatsView()
+        self._stats = ServeStats()
         self._lock = threading.Lock()
         self._started = False
         self.tenant = tenant
@@ -472,10 +462,14 @@ class ServeCluster:
         return self
 
     def _init_payload(self) -> dict:
+        from repro import compile as repro_compile
+
+        # The compile switch as read at spawn, so a spawned replica
+        # follows --no-compile / compile.disabled() like a forked one.
         return {
             "config": self.workbench.config,
             "seed": self.seed,
-            "compile_models": self.compile_models,
+            "compile": repro_compile.enabled(),
         }
 
     def _spawn_replica(self) -> Replica:
@@ -783,7 +777,7 @@ class ServeCluster:
             )
         return out
 
-    def stats(self) -> ClusterStatsView:
+    def stats(self) -> ServeStats:
         """The cluster's live telemetry view (front door + replicas)."""
         return self._stats
 
@@ -796,16 +790,18 @@ class ServeCluster:
 # synchronous facade over the async front door
 # ----------------------------------------------------------------------
 class ClusterService:
-    """Blocking client for a cluster: the front door on a loop thread.
+    """Blocking client for an executor: the front door on a loop thread.
 
-    Mirrors :class:`~repro.serve.service.InferenceService`'s shape for
-    callers that are not async themselves (the CLI, tests, notebooks):
-    ``submit`` returns a :class:`concurrent.futures.Future`,
-    ``classify`` blocks.  All admission control, batching, shedding and
-    deadline logic lives in :class:`repro.serve.frontdoor.FrontDoor`.
+    For callers that are not async themselves (the CLI, tests,
+    notebooks): ``submit`` returns a
+    :class:`concurrent.futures.Future`, ``classify`` blocks.  The
+    executor is a :class:`ServeCluster` or an
+    :class:`~repro.serve.executor.InProcessExecutor`; all admission
+    control, batching, shedding and deadline logic lives in
+    :class:`repro.serve.frontdoor.FrontDoor`.
     """
 
-    def __init__(self, cluster: ServeCluster, **frontdoor_kwargs):
+    def __init__(self, cluster, **frontdoor_kwargs):
         from repro.serve.frontdoor import FrontDoor
 
         self.cluster = cluster
@@ -824,6 +820,8 @@ class ClusterService:
     def submit(self, spec: ModelSpec, image, request_id: int) -> Future:
         """Admit one request; resolves to a Prediction (or raises the
         front door's overload/timeout errors)."""
+        if self._loop.is_closed():
+            raise ServiceOverloadError("service is closed")
 
         async def _submit():
             future = await self._door.submit(spec, image, request_id)

@@ -1,18 +1,20 @@
-"""Asyncio front door for the serving cluster: admit, batch, route.
+"""Asyncio front door: admit, batch, route — the one admission layer.
 
 One :class:`FrontDoor` instance owns all admission and batching policy
-for a :class:`~repro.serve.cluster.ServeCluster`.  Per model spec it
-keeps a bounded :class:`asyncio.Queue` and one batcher coroutine that
+over an executor: the in-process
+:class:`~repro.serve.executor.InProcessExecutor` or the multi-process
+:class:`~repro.serve.cluster.ServeCluster`.  Per model spec it keeps a
+bounded :class:`asyncio.Queue` and one batcher coroutine that
 coalesces requests (up to ``max_batch``) and dispatches whole batches
-to the cluster's least-loaded eligible replica.  Batching is
-**work-conserving**: a lane takes whatever is queued and dispatches it
-at once while a replica eligible for it is idle.  Only when every such
-replica already has a batch in flight does a partial batch wait for
-stragglers — until it fills, ``max_wait_s`` passes, or one of the
-door's dispatches completes and may have freed a replica.  Light load
-therefore pays no coalescing window, and under load batches still fill
-while the replicas are busy.  Operational behaviour mirrors the
-thread-pool :class:`~repro.serve.service.InferenceService`:
+to the executor, which routes each to its least-loaded eligible
+replica.  Batching is **work-conserving**: a lane takes whatever is
+queued and dispatches it at once while a replica eligible for it is
+idle.  Only when every such replica already has a batch in flight does
+a partial batch wait for stragglers — until it fills, ``max_wait_s``
+passes, or one of the door's dispatches completes and may have freed a
+replica.  Light load therefore pays no coalescing window, and under
+load batches still fill while the replicas are busy.  It is the only
+code that admits, sheds, degrades or expires a request:
 
 - **load shedding** — a full queue fails ``submit`` fast with
   :class:`~repro.errors.ServiceOverloadError`
@@ -26,13 +28,14 @@ thread-pool :class:`~repro.serve.service.InferenceService`:
   2x the eligible replica count, so a slow replica backs traffic up
   into the bounded queue (where shedding happens) rather than growing
   an unbounded dispatch backlog;
-- **warm-on-miss** — a request for a spec the cluster has not
-  published yet never blocks the door behind a train-or-load: it
-  triggers the cluster's background ``warm_async`` (journaled
-  ``registry.warmup``, deduplicated per spec) and is immediately
-  degraded to ``fallback_spec`` when that is already warm, or shed
-  with a retry hint (``registry.warmup_triggered``).  A retry after
-  the warm-up lands is served from the registry's warm tier.
+- **warm-on-miss** — a request for a spec the executor has not warmed
+  yet never blocks the door behind a train-or-load: it triggers the
+  executor's background ``warm_async`` (deduplicated per spec by the
+  cluster, queued on its one thread by the in-process executor) and
+  is immediately degraded to ``fallback_spec`` when that is already
+  warm, or shed with a retry hint (``registry.warmup_triggered``).  A
+  retry after the warm-up lands is served from the registry's warm
+  tier.
 
 This module is **strictly non-blocking**: every wait is an ``await``.
 ``tools/serve_lint.py`` (tier-1) rejects any blocking call — sleeps,
@@ -50,11 +53,23 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.errors import ConfigError, ServiceOverloadError, ServiceTimeoutError
-from repro.serve.engine import Prediction
 from repro.serve.spec import ModelSpec
 
 #: Queue sentinel: a batcher drains remaining items and exits on it.
 _STOP = object()
+
+
+@dataclass
+class Prediction:
+    """The answer to one classify request."""
+
+    request_id: int
+    spec: ModelSpec
+    label: int
+    logits: np.ndarray
+    batch_size: int
+    latency_s: float
+    degraded: bool = False
 
 
 async def _woken(event: asyncio.Event) -> None:
@@ -73,15 +88,17 @@ class _Pending:
 
 
 class FrontDoor:
-    """Admission control and micro-batching over a serving cluster.
+    """Admission control and micro-batching over an executor.
 
     Parameters
     ----------
     cluster:
-        A started :class:`~repro.serve.cluster.ServeCluster` (anything
+        The executor: an :class:`~repro.serve.executor.InProcessExecutor`
+        or a started :class:`~repro.serve.cluster.ServeCluster` (anything
         with ``resolve`` / ``submit_batch`` / ``replica_count`` /
-        ``has_idle_replica`` / ``stats``).  The front door owns routing
-        policy only; the cluster owns replicas and weights.
+        ``has_idle_replica`` / ``stats`` / ``is_warm`` /
+        ``warm_async``).  The front door owns admission and batching
+        policy only; the executor owns replicas and weights.
     queue_size:
         Admission bound per spec; a full queue sheds (or degrades).
     max_batch:
@@ -144,20 +161,19 @@ class FrontDoor:
         self, spec: ModelSpec, image, request_id: int
     ) -> "asyncio.Future[Prediction]":
         """Admit one request; the returned future resolves to its
-        :class:`~repro.serve.engine.Prediction`.
+        :class:`Prediction`.
 
         A saturated queue either degrades to ``fallback_spec`` or
         raises :class:`~repro.errors.ServiceOverloadError` immediately
         — admission never waits.  Nor does a cold spec: a request for
-        an unpublished model starts the cluster's background warm-up
+        an unwarmed model starts the executor's background warm-up
         and is degraded or shed right away (retry once warm).
         """
         if self._draining:
             raise ServiceOverloadError("front door is draining")
         spec = self.cluster.resolve(spec)
         token = spec.token()
-        warm_probe = getattr(self.cluster, "is_warm", None)
-        if warm_probe is not None and not warm_probe(token):
+        if not self.cluster.is_warm(token):
             return await self._handle_cold(spec, token, image, request_id)
         queue = self._ensure_lane(token)
         item = _Pending(
@@ -296,7 +312,7 @@ class FrontDoor:
             wakeup.set()
 
     async def _dispatch(self, token: str, batch: List[_Pending]) -> None:
-        """Run one batch on the cluster and resolve its futures."""
+        """Run one batch on the executor and resolve its futures."""
         spec = batch[0].spec
         images = np.stack([item.image for item in batch])
         request_ids = [item.request_id for item in batch]
@@ -349,7 +365,7 @@ class FrontDoor:
     ) -> "asyncio.Future[Prediction]":
         """Admission path for a spec no replica can serve yet.
 
-        Kicks off (or joins) the cluster's deduplicated background
+        Kicks off (or joins) the executor's background
         warm-up, then degrades to ``fallback_spec`` when that is
         already warm — otherwise sheds with a retry hint.  Either way
         the event loop never waits on the train-or-load.
@@ -409,4 +425,4 @@ class FrontDoor:
         return future
 
 
-__all__ = ["FrontDoor"]
+__all__ = ["FrontDoor", "Prediction"]

@@ -17,7 +17,7 @@ Binding contract:
   an optimizer step on a bound model would fail loudly on the
   read-only array, which is the correct outcome for a serving
   replica).  Derived products — DoReFa-quantized weights, compiled
-  kernel tapes — remain per-process, exactly as they are per-engine
+  kernel tapes — remain per-process, exactly as they are per-executor
   today.
 - **buffers** (batch-norm running statistics, quantizer calibration)
   are copied in place, because modules hold live views into them;

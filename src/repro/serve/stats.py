@@ -1,28 +1,28 @@
 """Serving telemetry as a view over the observability metric registry.
 
-:class:`EngineStatsView` is the engine's always-on telemetry.  Since
-the ``repro.obs`` redesign it no longer owns its counters: every batch
-is recorded into a :class:`~repro.obs.MetricRegistry` (one registry
-per engine, so snapshots stay per-engine) under the ``serve.*`` metric
-names documented in ``docs/observability.md``:
+:class:`ServeStats` is the one stats class both serving executors
+report into (:class:`~repro.serve.executor.InProcessExecutor` and
+:class:`~repro.serve.cluster.ServeCluster`).  It owns no counters:
+every batch is recorded into a :class:`~repro.obs.MetricRegistry` (one
+registry per executor, so snapshots stay per-executor) under the
+``serve.*`` metric names documented in ``docs/observability.md``:
 
 - ``serve.requests_executed{spec}`` / ``serve.batches_executed{spec}``
-  / ``serve.requests_degraded{spec}`` — counters;
+  / ``serve.requests_degraded{spec}`` — counters, recorded by the
+  front door;
 - ``serve.batch_size{spec,size}`` — one counter per exact batch size
   (the batch-size histogram, reconstructible bit-for-bit from a
   journal metrics snapshot);
-- ``serve.latency_ms{spec}`` — a fixed-bucket histogram.
+- ``serve.latency_ms{spec}`` — a fixed-bucket histogram;
+- ``serve.replica_batches{replica}`` and friends — one row per
+  replica, recorded by the executor (the in-process executor is
+  replica ``0``), so both executors print the same report.
 
-The view itself keeps only a bounded reservoir of raw latency samples
-per spec, because exact p50/p95 cannot be recovered from fixed
-buckets; everything else in :meth:`snapshot` is read back from the
-registry.  ``snapshot()`` / ``report()`` output is shape-compatible
-with the pre-redesign ``EngineStats``.
-
-Constructing :class:`EngineStats` directly is deprecated (one warning
-per process); engines build an :class:`EngineStatsView`, and the op
-profiler (:mod:`repro.utils.profiler`) remains the tool for *where
-the time goes* inside a forward pass.
+The view itself keeps only bounded reservoirs of raw latency samples,
+because exact p50/p95 cannot be recovered from fixed buckets;
+everything else in :meth:`ServeStats.snapshot` is read back from the
+registry.  The op profiler (:mod:`repro.utils.profiler`) remains the
+tool for *where the time goes* inside a forward pass.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import threading
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs.deprecation import warn_once
 from repro.obs.metrics import MetricRegistry
 
 #: Latency samples kept per spec; older samples are dropped FIFO so a
@@ -58,14 +57,24 @@ def _percentile(samples: List[float], q: float) -> float:
     return ordered[low] * (1.0 - frac) + ordered[low + 1] * frac
 
 
-class EngineStatsView:
-    """Per-engine serving telemetry over a metric registry.
+class ServeStats:
+    """Per-executor serving telemetry over a metric registry.
+
+    The front door records request-level metrics through
+    :meth:`record_batch`; the executor adds one row per replica with
+    :meth:`record_replica_batch` — batches dispatched, requests
+    served, exact p50/p99 from a per-replica latency reservoir — and
+    the cluster merges worker registry flushes (compiled/interpreted
+    counters, worker wall time) under a ``replica`` label via
+    :meth:`~repro.obs.MetricRegistry.merge_snapshot`, which pairs with
+    the lock-holding registry snapshot so readers never observe a torn
+    flush.
 
     Parameters
     ----------
     registry:
         The :class:`~repro.obs.MetricRegistry` to record into.  By
-        default each view creates its own, so two engines in one
+        default each view creates its own, so two executors in one
         process never mix counts; pass a shared registry to aggregate.
     """
 
@@ -76,13 +85,21 @@ class EngineStatsView:
         self._started = perf_counter()
 
     # ------------------------------------------------------------------
+    def _keep(self, key: str, latencies_s: Sequence[float]) -> None:
+        with self._lock:
+            samples = self._latencies.setdefault(key, [])
+            samples.extend(latencies_s)
+            overflow = len(samples) - MAX_LATENCY_SAMPLES
+            if overflow > 0:
+                del samples[:overflow]
+
     def record_batch(
         self,
         spec_key: str,
         latencies_s: Sequence[float],
         degraded: bool = False,
     ) -> None:
-        """Record one executed batch and its per-request latencies."""
+        """Record one answered batch and its per-request latencies."""
         size = len(latencies_s)
         registry = self.registry
         registry.counter("serve.requests_executed", spec=spec_key).inc(size)
@@ -99,12 +116,26 @@ class EngineStatsView:
         )
         for latency in latencies_s:
             latency_hist.observe(1e3 * latency)
-        with self._lock:
-            samples = self._latencies.setdefault(spec_key, [])
-            samples.extend(latencies_s)
-            overflow = len(samples) - MAX_LATENCY_SAMPLES
-            if overflow > 0:
-                del samples[:overflow]
+        self._keep(spec_key, latencies_s)
+
+    def record_replica_batch(
+        self, replica: int, size: int, latency_s: float
+    ) -> None:
+        """Record one batch executed by ``replica`` (dispatch→reply)."""
+        registry = self.registry
+        rep = str(replica)
+        registry.counter("serve.replica_batches", replica=rep).inc()
+        registry.counter("serve.replica_requests", replica=rep).inc(size)
+        registry.histogram(
+            "serve.replica_latency_ms",
+            buckets=LATENCY_MS_BUCKETS,
+            replica=rep,
+        ).observe(1e3 * latency_s)
+        self._keep(f"replica:{rep}", [latency_s])
+
+    def merge_worker(self, replica: int, snapshot: dict) -> None:
+        """Fold one worker's registry flush in under its replica label."""
+        self.registry.merge_snapshot(snapshot, replica=str(replica))
 
     # ------------------------------------------------------------------
     def _spec_keys(self) -> List[str]:
@@ -131,111 +162,6 @@ class EngineStatsView:
         with self._lock:
             samples = list(self._latencies.get(spec_key, ()))
         return 1e3 * _percentile(samples, q)
-
-    def snapshot(self) -> dict:
-        """A JSON-able summary of everything recorded so far.
-
-        Same shape as the pre-``repro.obs`` ``EngineStats.snapshot``:
-        counts come from the registry, percentiles from the reservoir.
-        """
-        registry = self.registry
-        elapsed = perf_counter() - self._started
-        specs = {}
-        total = 0
-        for key in self._spec_keys():
-            requests = registry.counter(
-                "serve.requests_executed", spec=key
-            ).value
-            batches = registry.counter(
-                "serve.batches_executed", spec=key
-            ).value
-            degraded = registry.counter(
-                "serve.requests_degraded", spec=key
-            ).value
-            total += requests
-            specs[key] = {
-                "requests": requests,
-                "batches": batches,
-                "degraded": degraded,
-                "mean_batch": requests / batches if batches else 0.0,
-                "batch_hist": self.batch_hist(key),
-                "p50_ms": self.percentile_ms(key, 50),
-                "p95_ms": self.percentile_ms(key, 95),
-            }
-        return {
-            "elapsed_s": elapsed,
-            "requests": total,
-            "throughput_rps": total / elapsed if elapsed > 0 else 0.0,
-            "specs": specs,
-        }
-
-    def report(self) -> str:
-        """Human-readable per-spec table."""
-        from repro.utils.tabulate import format_table
-
-        snap = self.snapshot()
-        rows = [
-            [
-                key,
-                spec["requests"],
-                spec["batches"],
-                round(spec["mean_batch"], 2),
-                round(spec["p50_ms"], 2),
-                round(spec["p95_ms"], 2),
-                spec["degraded"],
-            ]
-            for key, spec in sorted(snap["specs"].items())
-        ] or [["(no requests)", 0, 0, 0.0, 0.0, 0.0, 0]]
-        table = format_table(
-            ["spec", "requests", "batches", "mean batch", "p50 ms",
-             "p95 ms", "degraded"],
-            rows,
-            title="serving stats",
-        )
-        return (
-            table
-            + f"\n  {snap['requests']} requests in {snap['elapsed_s']:.2f}s"
-            f" ({snap['throughput_rps']:.1f} req/s)"
-        )
-
-
-class ClusterStatsView(EngineStatsView):
-    """Cluster-wide telemetry: the engine view plus per-replica detail.
-
-    The front door records request-level metrics through the inherited
-    :meth:`record_batch`; the cluster adds one row per replica —
-    batches dispatched, requests served, in-flight depth, exact
-    p50/p99 from a per-replica latency reservoir — and merges worker
-    registry flushes (queue depth, compiled/interpreted counters)
-    under a ``replica`` label via
-    :meth:`~repro.obs.MetricRegistry.merge_snapshot`, which pairs with
-    the lock-holding registry snapshot so readers never observe a torn
-    flush.
-    """
-
-    def record_replica_batch(
-        self, replica: int, size: int, latency_s: float
-    ) -> None:
-        """Record one batch executed by ``replica`` (dispatch→reply)."""
-        registry = self.registry
-        rep = str(replica)
-        registry.counter("serve.replica_batches", replica=rep).inc()
-        registry.counter("serve.replica_requests", replica=rep).inc(size)
-        registry.histogram(
-            "serve.replica_latency_ms",
-            buckets=LATENCY_MS_BUCKETS,
-            replica=rep,
-        ).observe(1e3 * latency_s)
-        with self._lock:
-            samples = self._latencies.setdefault(f"replica:{rep}", [])
-            samples.append(latency_s)
-            overflow = len(samples) - MAX_LATENCY_SAMPLES
-            if overflow > 0:
-                del samples[:overflow]
-
-    def merge_worker(self, replica: int, snapshot: dict) -> None:
-        """Fold one worker's registry flush in under its replica label."""
-        self.registry.merge_snapshot(snapshot, replica=str(replica))
 
     def replica_ids(self) -> List[str]:
         ids = {
@@ -269,17 +195,70 @@ class ClusterStatsView(EngineStatsView):
         return out
 
     def snapshot(self) -> dict:
-        """Engine-shaped snapshot plus a ``replicas`` section."""
-        snap = super().snapshot()
-        snap["replicas"] = self.replica_snapshot()
-        return snap
+        """A JSON-able summary of everything recorded so far.
+
+        Counts come from the registry, percentiles from the reservoirs;
+        ``replicas`` holds the per-replica rows.
+        """
+        registry = self.registry
+        elapsed = perf_counter() - self._started
+        specs = {}
+        total = 0
+        for key in self._spec_keys():
+            requests = registry.counter(
+                "serve.requests_executed", spec=key
+            ).value
+            batches = registry.counter(
+                "serve.batches_executed", spec=key
+            ).value
+            degraded = registry.counter(
+                "serve.requests_degraded", spec=key
+            ).value
+            total += requests
+            specs[key] = {
+                "requests": requests,
+                "batches": batches,
+                "degraded": degraded,
+                "mean_batch": requests / batches if batches else 0.0,
+                "batch_hist": self.batch_hist(key),
+                "p50_ms": self.percentile_ms(key, 50),
+                "p95_ms": self.percentile_ms(key, 95),
+            }
+        return {
+            "elapsed_s": elapsed,
+            "requests": total,
+            "throughput_rps": total / elapsed if elapsed > 0 else 0.0,
+            "specs": specs,
+            "replicas": self.replica_snapshot(),
+        }
 
     def report(self) -> str:
+        """Human-readable per-spec table, then one row per replica."""
         from repro.utils.tabulate import format_table
 
-        text = super().report()
-        replicas = self.replica_snapshot()
-        if not replicas:
+        snap = self.snapshot()
+        rows = [
+            [
+                key,
+                spec["requests"],
+                spec["batches"],
+                round(spec["mean_batch"], 2),
+                round(spec["p50_ms"], 2),
+                round(spec["p95_ms"], 2),
+                spec["degraded"],
+            ]
+            for key, spec in sorted(snap["specs"].items())
+        ] or [["(no requests)", 0, 0, 0.0, 0.0, 0.0, 0]]
+        text = format_table(
+            ["spec", "requests", "batches", "mean batch", "p50 ms",
+             "p95 ms", "degraded"],
+            rows,
+            title="serving stats",
+        ) + (
+            f"\n  {snap['requests']} requests in {snap['elapsed_s']:.2f}s"
+            f" ({snap['throughput_rps']:.1f} req/s)"
+        )
+        if not snap["replicas"]:
             return text
         rows = [
             [
@@ -290,29 +269,11 @@ class ClusterStatsView(EngineStatsView):
                 round(data["p50_ms"], 2),
                 round(data["p99_ms"], 2),
             ]
-            for rep, data in replicas.items()
+            for rep, data in snap["replicas"].items()
         ]
         return text + "\n\n" + format_table(
             ["replica", "batches", "requests", "mean batch", "p50 ms",
              "p99 ms"],
             rows,
-            title="cluster replicas",
+            title="serve replicas",
         )
-
-
-class EngineStats(EngineStatsView):
-    """Deprecated: construct :class:`EngineStatsView` instead.
-
-    Kept so pre-``repro.obs`` call sites keep working; the first
-    direct construction per process emits a DeprecationWarning.  The
-    engine itself builds an :class:`EngineStatsView`.
-    """
-
-    def __init__(self, registry: Optional[MetricRegistry] = None):
-        warn_once(
-            "serve.EngineStats",
-            "constructing EngineStats directly is deprecated; use "
-            "EngineStatsView (a view over a repro.obs.MetricRegistry) "
-            "— snapshot()/report() are shape-identical",
-        )
-        super().__init__(registry)

@@ -105,7 +105,7 @@ def ams_injectors(model: Module) -> List:
     """Every :class:`~repro.ams.models.AMSErrorInjector` in ``model``.
 
     Returned in module order, which is the order all reseeding helpers
-    (and the serving engine's per-request noise streams) key their
+    (and the serving executor's per-request noise streams) key their
     spawned child generators by.
     """
     from repro.ams.models import AMSErrorInjector
@@ -119,7 +119,7 @@ def predict_logits(model: Module, images: np.ndarray) -> np.ndarray:
     The shared inference primitive: one gradient-free forward over a
     stacked NCHW batch.  The caller owns reseeding (per-pass via
     :func:`reseed_noise`, or per-row via ``AMSErrorInjector.set_row_rngs``
-    as the serving engine does).
+    as the serving executor does).
     """
     model.eval()
     from repro.compile import maybe_compiled

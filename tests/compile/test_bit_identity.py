@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compile import compile_model, maybe_compiled
-from repro.serve import InferenceEngine, ModelSpec
+from repro.compile import compile_model, disabled, maybe_compiled
+from repro.serve import InProcessExecutor, ModelSpec, ServeCluster
 from repro.tensor.tensor import Tensor, no_grad
 from repro.train.evaluate import predict_logits, reseed_noise
 from repro.train.hooks import collect_probes, set_probes_enabled
@@ -81,34 +81,32 @@ class TestBitIdentity:
 
 
 class TestServeDeterminism:
-    """Per-request AMS noise is reproducible at any worker count,
-    compiled or not (ISSUE acceptance: 1 vs 4 workers)."""
+    """Per-request AMS noise is reproducible in process and over replica
+    processes, compiled or not."""
 
     SPEC = ModelSpec("ams_eval", enob=4.0)
 
-    def _logits(self, compile_bench, images, workers, compile_models):
-        engine = InferenceEngine(
-            compile_bench,
-            max_batch=4,
-            max_wait_ms=1.0,
-            workers=workers,
-            compile_models=compile_models,
-        )
-        engine.warm(self.SPEC)
-        with engine:
-            predictions = engine.classify(self.SPEC, images)
-        return np.stack([p.logits for p in predictions])
+    def _logits(self, executor, images):
+        executor.warm(self.SPEC)
+        futures = [
+            executor.submit_batch(
+                self.SPEC, images[start : start + 4], range(start, start + 4)
+            )
+            for start in range(0, len(images), 4)
+        ]
+        return np.concatenate([f.result(timeout=120) for f in futures])
 
     def test_workers_and_compilation_invariant(self, compile_bench):
         images = compile_bench.data.val.images[:12]
-        reference = self._logits(
-            compile_bench, images, workers=1, compile_models=True
-        )
-        four = self._logits(
-            compile_bench, images, workers=4, compile_models=True
-        )
-        interpreted = self._logits(
-            compile_bench, images, workers=1, compile_models=False
-        )
-        assert np.array_equal(reference, four)
+        with InProcessExecutor(compile_bench) as local:
+            reference = self._logits(local, images)
+        counted = local.stats().registry.counter("serve.batches_compiled")
+        assert counted.value == 3
+        with ServeCluster(compile_bench, workers=2) as cluster:
+            two = self._logits(cluster, images)
+        with disabled(), InProcessExecutor(compile_bench) as local:
+            interpreted = self._logits(local, images)
+        counted = local.stats().registry.counter("serve.batches_interpreted")
+        assert counted.value == 3
+        assert np.array_equal(reference, two)
         assert np.array_equal(reference, interpreted)

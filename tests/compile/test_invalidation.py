@@ -102,45 +102,53 @@ class TestCompiledCacheInvalidation:
         assert maybe_compiled(model) is not None
 
     def test_load_state_dict_recompiles_in_serve_lru(self, compile_bench):
-        """A model hot in the engine's LRU recompiles after new weights.
+        """A model hot in the serving warm tier recompiles after new weights.
 
-        The engine compiles at cache-load time and never evicts a spec
-        it keeps serving — so the *only* thing standing between a
-        ``load_state_dict`` (checkpoint swap, hot reload) and stale
-        predictions is the Parameter.version fingerprint.
+        The in-process executor serves the registry's warm resident and
+        never evicts a spec it keeps serving — so the *only* thing
+        standing between a ``load_state_dict`` (checkpoint swap, hot
+        reload) and stale predictions is the Parameter.version
+        fingerprint.
         """
-        from repro.serve import InferenceEngine
+        from repro.serve import InProcessExecutor
 
-        engine = InferenceEngine(compile_bench, max_models=2)
         spec = ModelSpec("fp32").resolved(compile_bench.config)
         images = compile_bench.data.val.images[:4]
+        with InProcessExecutor(compile_bench) as executor:
+            executor.warm(spec)
 
-        first = engine.classify_direct(spec, images)
-        model, _lock = engine._model_entry(spec)  # bound in the LRU now
-        compiled = maybe_compiled(model)
-        assert compiled is not None
-        assert maybe_compiled(model) is compiled  # hot: fingerprint hit
+            def served():
+                return executor.submit_batch(
+                    spec, images, range(len(images))
+                ).result(60.0)
 
-        # Swap in visibly different weights through load_state_dict —
-        # the public checkpoint-restore path, which bumps every
-        # Parameter.version.
-        state = model.state_dict()
-        fc_key = next(k for k in state if k.endswith("fc.0.weight"))
-        state[fc_key] = state[fc_key] * np.float32(-1.0)
-        before = model_fingerprint(model)
-        model.load_state_dict(state)
-        model.eval()
-        assert model_fingerprint(model) != before
+            first = served()
+            model, _meta = executor.registry.get(spec)  # the warm resident
+            compiled = maybe_compiled(model)
+            assert compiled is not None
+            assert maybe_compiled(model) is compiled  # hot: fingerprint hit
 
-        second = engine.classify_direct(spec, images)
-        recompiled = maybe_compiled(model)
-        assert recompiled is not None and recompiled is not compiled
-        # The served logits must track the new weights, not the old tape.
-        with disabled():
-            expected = engine.classify_direct(spec, images)
-        for served, fresh, old in zip(second, expected, first):
-            assert np.array_equal(served.logits, fresh.logits)
-            assert not np.array_equal(served.logits, old.logits)
+            # Swap in visibly different weights through load_state_dict —
+            # the public checkpoint-restore path, which bumps every
+            # Parameter.version.
+            state = model.state_dict()
+            fc_key = next(k for k in state if k.endswith("fc.0.weight"))
+            state[fc_key] = state[fc_key] * np.float32(-1.0)
+            before = model_fingerprint(model)
+            model.load_state_dict(state)
+            model.eval()
+            assert model_fingerprint(model) != before
+
+            second = served()
+            recompiled = maybe_compiled(model)
+            assert recompiled is not None and recompiled is not compiled
+            # The served logits must track the new weights, not the old
+            # tape.
+            with disabled():
+                expected = served()
+        for served_row, fresh, old in zip(second, expected, first):
+            assert np.array_equal(served_row, fresh)
+            assert not np.array_equal(served_row, old)
 
 
 class TestNoGradFastPath:

@@ -199,33 +199,43 @@ class TestExport:
         assert any(name.endswith(".csv") for name in os.listdir(out_dir))
 
 
+def _micro_serve_config(tmp_path, monkeypatch):
+    """Swap the CLI's make_config for a micro configuration, so the
+    fp32 pretrain the serve path triggers stays in smoke-test
+    territory; everything else is the real code path."""
+    from repro.experiments import cli as cli_mod
+    from repro.experiments.config import make_config
+
+    micro = make_config(
+        profile="quick",
+        seed=7,
+        num_classes=4,
+        image_size=8,
+        train_per_class=24,
+        val_per_class=10,
+        pretrain_epochs=2,
+        retrain_epochs=1,
+        batch_size=32,
+        patience=1,
+        eval_passes=1,
+        cache_dir=str(tmp_path / "cache"),
+        results_dir=str(tmp_path / "results"),
+    )
+    monkeypatch.setattr(cli_mod, "make_config", lambda **kw: micro)
+
+
+def _batch_sizes(out):
+    """``(min, mean, max)`` from the CLI's ``batch sizes:`` line."""
+    prefix = "batch sizes:"
+    line = next(l for l in out.splitlines() if l.startswith(prefix))
+    parts = dict(p.split() for p in line[len(prefix):].split(","))
+    return int(parts["min"]), float(parts["mean"]), int(parts["max"])
+
+
 class TestServe:
     def test_serve_smoke(self, tmp_path, capsys, monkeypatch):
-        """End-to-end CLI serve at microscopic scale.
-
-        Swaps the CLI's make_config for a micro configuration so the
-        fp32 pretrain the serve path triggers stays in smoke-test
-        territory; everything else is the real code path.
-        """
-        from repro.experiments import cli as cli_mod
-        from repro.experiments.config import make_config
-
-        micro = make_config(
-            profile="quick",
-            seed=7,
-            num_classes=4,
-            image_size=8,
-            train_per_class=24,
-            val_per_class=10,
-            pretrain_epochs=2,
-            retrain_epochs=1,
-            batch_size=32,
-            patience=1,
-            eval_passes=1,
-            cache_dir=str(tmp_path / "cache"),
-            results_dir=str(tmp_path / "results"),
-        )
-        monkeypatch.setattr(cli_mod, "make_config", lambda **kw: micro)
+        """End-to-end CLI serve at microscopic scale, in-process."""
+        _micro_serve_config(tmp_path, monkeypatch)
         assert (
             main(
                 [
@@ -250,25 +260,7 @@ class TestServe:
 
     def test_serve_cluster_smoke(self, tmp_path, capsys, monkeypatch):
         """CLI serve through the multi-process cluster (--workers)."""
-        from repro.experiments import cli as cli_mod
-        from repro.experiments.config import make_config
-
-        micro = make_config(
-            profile="quick",
-            seed=7,
-            num_classes=4,
-            image_size=8,
-            train_per_class=24,
-            val_per_class=10,
-            pretrain_epochs=2,
-            retrain_epochs=1,
-            batch_size=32,
-            patience=1,
-            eval_passes=1,
-            cache_dir=str(tmp_path / "cache"),
-            results_dir=str(tmp_path / "results"),
-        )
-        monkeypatch.setattr(cli_mod, "make_config", lambda **kw: micro)
+        _micro_serve_config(tmp_path, monkeypatch)
         assert (
             main(
                 [
@@ -291,6 +283,36 @@ class TestServe:
         assert "starting cluster: 2 replica processes" in out
         assert "served 16 requests" in out
         assert "cluster stats" in out or "serving stats" in out
+
+    @pytest.mark.parametrize(
+        "executor", [[], ["--workers", "1"]], ids=["in-process", "workers-1"]
+    )
+    def test_bulk_serve_keeps_queue_size_outstanding(
+        self, executor, tmp_path, capsys, monkeypatch
+    ):
+        """More requests than queue slots: backpressure, not a shed.
+
+        The bulk client waits on its oldest request before it submits
+        past ``--queue-size``, so the run exits 0 on either executor,
+        and requests pile up behind the busy executor into batches.
+        """
+        _micro_serve_config(tmp_path, monkeypatch)
+        argv = [
+            "serve",
+            "--spec",
+            "fp32",
+            "--requests",
+            "256",
+            "--queue-size",
+            "32",
+            "--profile",
+            "quick",
+        ]
+        assert main(argv + executor) == 0
+        out = capsys.readouterr().out
+        assert "served 256 requests" in out
+        if not executor:
+            assert _batch_sizes(out)[2] > 2
 
 
 class TestServeClusterFlags:

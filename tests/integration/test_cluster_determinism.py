@@ -1,6 +1,6 @@
 """Cluster determinism: 1 process, 4 processes, in-process — identical.
 
-The serving contract (the same one the in-process engine holds, see
+The serving contract (the same one the in-process executor holds, see
 ``tests/serve/test_engine.py::TestDeterminism``): logits are a pure
 function of ``(spec, seed, request_id, image)`` **and the batch they
 execute in** — for a fixed batch composition they are bit-identical no
@@ -9,7 +9,7 @@ are invariant (BLAS picks different kernels for different matrix
 shapes, so float sums may differ in the last ulp).
 
 These tests hold both halves across process boundaries: the same
-batches produce bit-identical logits from the in-process engine, a
+batches produce bit-identical logits from the in-process executor, a
 1-replica cluster, and a 4-replica cluster that spreads them over four
 processes — for every model variant and a spread of zoo error models,
 including a data-dependent one that reads the pre-activations.
@@ -22,7 +22,7 @@ import pytest
 
 from repro.experiments.common import Workbench
 from repro.experiments.config import make_config
-from repro.serve import InferenceEngine, ModelSpec, ServeCluster
+from repro.serve import InProcessExecutor, ModelSpec, ServeCluster
 
 #: Request ids deliberately non-contiguous: determinism must key on the
 #: id itself, not on batch position.
@@ -72,7 +72,8 @@ def images(bench):
 
 
 def _chunked(cluster, spec, images, request_ids, size):
-    """Execute as separate concurrent batches; reassemble by position."""
+    """Execute as separate concurrent batches on any executor;
+    reassemble by position."""
     futures = []
     for start in range(0, len(images), size):
         futures.append(
@@ -85,27 +86,14 @@ def _chunked(cluster, spec, images, request_ids, size):
     return np.concatenate([f.result(timeout=120) for f in futures])
 
 
-def _reference_chunked(engine, spec, images, request_ids, size):
-    """The in-process engine run over the identical batch shapes."""
-    rows = []
-    for start in range(0, len(images), size):
-        rows.extend(
-            p.logits
-            for p in engine.classify_direct(
-                spec,
-                images[start : start + size],
-                request_ids[start : start + size],
-            )
-        )
-    return np.stack(rows)
-
-
 @pytest.mark.parametrize("token", SPEC_TOKENS)
 def test_logits_bit_identical_at_any_worker_count(token, bench, images):
     """Same batches, 1 vs 4 replica processes vs in-process: bit-equal."""
     spec = ModelSpec.parse(token)
-    engine = InferenceEngine(bench)
-    reference = _reference_chunked(engine, spec, images, REQUEST_IDS, CHUNK)
+    # The in-process executor run over the identical batch shapes.
+    with InProcessExecutor(bench) as local:
+        local.warm(spec)
+        reference = _chunked(local, spec, images, REQUEST_IDS, CHUNK)
 
     with ServeCluster(bench, workers=1) as single:
         single.warm(spec)

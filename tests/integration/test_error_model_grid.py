@@ -1,7 +1,8 @@
 """The error-model determinism grid: every registered model, every path.
 
 For each model in the registry: interpreter vs compiled-reference
-bit-identity, serve-engine per-request determinism at 1 vs 4 workers, checkpoint capture/restore of every declared RNG
+bit-identity, per-request serving determinism in process and over two
+replica processes, checkpoint capture/restore of every declared RNG
 stream, and trainer kill/resume bit-identity for the model with extra
 streams.
 """
@@ -23,7 +24,7 @@ from repro.experiments.config import make_config
 from repro.models import AMSFactory
 from repro.models.simple import SimpleCNN
 from repro.obs.metrics import default_registry
-from repro.serve import InferenceEngine, ModelSpec
+from repro.serve import InProcessExecutor, ModelSpec, ServeCluster
 from repro.tensor.tensor import Tensor, no_grad
 from repro.train import TrainConfig, Trainer
 from repro.train.evaluate import ams_injectors, reseed_noise
@@ -114,41 +115,52 @@ class TestCompiledPaths:
         assert np.array_equal(expected, actual)
 
 
+@pytest.fixture(scope="module")
+def grid_cluster(grid_bench):
+    with ServeCluster(grid_bench, workers=2) as cluster:
+        yield cluster
+
+
+def _served(executor, spec, images, size=4):
+    """Fixed batches of ``size`` on any executor; rows back in order."""
+    futures = [
+        executor.submit_batch(
+            spec, images[start : start + size], range(start, start + size)
+        )
+        for start in range(0, len(images), size)
+    ]
+    return np.concatenate([f.result(timeout=120) for f in futures])
+
+
 class TestServeDeterminism:
     @pytest.mark.parametrize("name,params", GRID, ids=GRID_IDS)
     def test_worker_count_invariance_and_replay(
-        self, grid_bench, name, params
+        self, grid_bench, grid_cluster, name, params
     ):
+        """In-process, replayed, and spread over two replica processes:
+        the same batches give the same logits."""
         spec = _spec(name, params)
         images = grid_bench.data.val.images[:12]
-        runs = []
-        for workers in (1, 4):
-            engine = InferenceEngine(
-                grid_bench, max_batch=4, max_wait_ms=5.0, workers=workers
-            )
-            engine.warm(spec)
-            with engine:
-                runs.append(
-                    sorted(
-                        engine.classify(spec, images),
-                        key=lambda p: p.request_id,
-                    )
-                )
-        for a, b in zip(*runs):
-            np.testing.assert_array_equal(a.logits, b.logits)
-            assert a.label == b.label
+        with InProcessExecutor(grid_bench) as local:
+            local.warm(spec)
+            reference = _served(local, spec, images)
+            replay = _served(local, spec, images)
+        grid_cluster.warm(spec)
+        spread = _served(grid_cluster, spec, images)
+        np.testing.assert_array_equal(reference, replay)
+        np.testing.assert_array_equal(reference, spread)
 
     def test_request_id_keys_the_noise(self, grid_bench):
         spec = _spec("tile_correlated", {"tile_size": 2, "rho": 0.5})
-        image = grid_bench.data.val.images[0]
-        engine = InferenceEngine(grid_bench, workers=1)
-        engine.warm(spec)
-        with engine:
-            a = engine.classify_direct(spec, [image], request_ids=[0])[0]
-            b = engine.classify_direct(spec, [image], request_ids=[1])[0]
-            again = engine.classify_direct(spec, [image], request_ids=[0])[0]
-        assert not np.array_equal(a.logits, b.logits)
-        np.testing.assert_array_equal(a.logits, again.logits)
+        image = grid_bench.data.val.images[:1]
+        with InProcessExecutor(grid_bench) as local:
+            local.warm(spec)
+            a, b, again = (
+                local.submit_batch(spec, image, [rid]).result(60.0)
+                for rid in (0, 1, 0)
+            )
+        assert not np.array_equal(a, b)
+        np.testing.assert_array_equal(a, again)
 
 
 class TestCheckpointStreams:

@@ -63,28 +63,3 @@ class TestProfilerBracket:
             with profiler.bracket("legacy.op"):
                 pass
         assert prof.records()["legacy.op"].calls == 1
-
-
-class TestEngineStats:
-    def test_warns_exactly_once_and_stays_shape_compatible(self):
-        from repro.serve.stats import EngineStats, EngineStatsView
-
-        first = _caught(EngineStats)
-        assert len(first) == 1
-        assert "EngineStatsView" in str(first[0].message)
-        assert _caught(EngineStats) == []
-
-        stats = EngineStats()
-        assert isinstance(stats, EngineStatsView)
-        stats.record_batch("quant:bw8:bx8", [0.001, 0.002])
-        snap = stats.snapshot()
-        spec = snap["specs"]["quant:bw8:bx8"]
-        assert spec["requests"] == 2
-        assert spec["batches"] == 1
-        assert spec["batch_hist"] == {2: 1}
-        assert "serving stats" in stats.report()
-
-    def test_engine_builds_the_view_without_warning(self):
-        from repro.serve.stats import EngineStatsView
-
-        assert _caught(EngineStatsView) == []

@@ -26,7 +26,7 @@ from repro.obs.summary import (
 from repro.obs.trace import capture_spans
 from repro.parallel.scheduler import SweepPoint
 from repro.parallel.sweep import sweep_map
-from repro.serve import InferenceEngine, ModelSpec
+from repro.serve import ClusterService, InProcessExecutor, ModelSpec
 from repro.utils.tabulate import format_table
 
 SPEC = ModelSpec("quant", bw=8, bx=8)
@@ -79,20 +79,20 @@ def recorded_run(demo_config):
         ]
         live_results = sweep_map(bench, _eval_noise_seed, points)
 
-        with InferenceEngine(
-            bench, max_batch=8, max_wait_ms=1.0, workers=1
-        ) as engine:
-            engine.warm(SPEC)
+        with InProcessExecutor(bench) as executor:
+            executor.warm(SPEC)
             images = bench.data.val.images
-            with capture_spans() as spans:
+            with capture_spans() as spans, ClusterService(
+                executor, max_batch=8, max_wait_s=0.001
+            ) as service:
                 # several request-set sizes so the batch-size histogram
                 # has more than one bar
                 for count in (8, 5, 3, 8):
-                    engine.classify(SPEC, images[:count])
-            snapshot = engine.stats().snapshot()
+                    service.classify(SPEC, images[:count])
+            snapshot = executor.stats().snapshot()
             journal_event("serve.stats", stats=snapshot)
             current_journal().metrics_snapshot(
-                engine.stats().registry, scope="serve"
+                executor.stats().registry, scope="serve"
             )
         end_run(status="ok")
     except BaseException:
@@ -164,7 +164,7 @@ class TestServeHistogramReproduction:
         assert set(hists) == set(live_specs)
         for key, live in live_specs.items():
             assert hists[key] == live["batch_hist"]
-        # 24 requests total crossed the engine, whatever the batching
+        # 24 requests total crossed the executor, whatever the batching
         (spec_stats,) = live_specs.values()
         assert spec_stats["requests"] == 24
         assert sum(
@@ -205,7 +205,7 @@ class TestRegistryTierReproduction:
     def test_tier_traffic_reconstructs_from_the_journal(
         self, recorded_run
     ):
-        """The engine's registry tier counters survive the round trip:
+        """The executor's registry tier counters survive the round trip:
         the sweep trained the artifact (fresh path), so ``warm(SPEC)``
         inside the run is a cold hit plus a promotion."""
         from repro.obs.summary import registry_tier_rows
@@ -239,7 +239,7 @@ class TestServeSpans:
         batch_spans = [
             s for s in recorded_run["spans"] if s.name == "serve.batch"
         ]
-        assert batch_spans, "engine batches should run under obs.span"
+        assert batch_spans, "executor batches should run under obs.span"
         main = threading.main_thread().name
         for record in batch_spans:
             assert record.thread != main

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.compile import disabled
 from repro.obs.metrics import MetricRegistry
 from repro.serve.executor import forward_with_request_noise
 from repro.serve.spec import ModelSpec
@@ -32,14 +33,10 @@ SPEC_TOKENS = [
 
 
 def _logits(model, images, seed):
-    return forward_with_request_noise(
-        model,
-        images,
-        REQUEST_IDS,
-        seed,
-        registry=MetricRegistry(),
-        compile_models=False,
-    )
+    with disabled():
+        return forward_with_request_noise(
+            model, images, REQUEST_IDS, seed, registry=MetricRegistry()
+        )
 
 
 @pytest.mark.parametrize("token", SPEC_TOKENS)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, ReplicaError
-from repro.serve import InferenceEngine, ModelSpec, ServeCluster
+from repro.serve import InProcessExecutor, ModelSpec, ServeCluster
 from repro.serve.cluster import SHARD_POLICIES
 from tests.serve.conftest import AMS_SPEC, QUANT_SPEC
 
@@ -46,14 +46,14 @@ class TestExecution:
     def test_matches_in_process_engine_bit_for_bit(
         self, cluster, serve_bench, val_images
     ):
-        engine = InferenceEngine(serve_bench)
+        """A replica and the in-process executor agree on a batch."""
         images = val_images[:5]
         ids = [3, 1, 4, 1, 5]
-        ref = engine.classify_direct(AMS_SPEC, images, ids)
+        with InProcessExecutor(serve_bench) as local:
+            local.warm(AMS_SPEC)
+            ref = local.submit_batch(AMS_SPEC, images, ids).result(60.0)
         logits = cluster.execute(AMS_SPEC, images, ids)
-        np.testing.assert_array_equal(
-            logits, np.stack([p.logits for p in ref])
-        )
+        np.testing.assert_array_equal(logits, ref)
 
     def test_unwarmed_spec_raises_replica_error(self, cluster, val_images):
         stranger = ModelSpec("quant", bw=4, bx=4)

@@ -1,4 +1,4 @@
-"""The asyncio front door against a fake cluster (no processes).
+"""The asyncio front door against a fake executor (no processes).
 
 The fake resolves batches on a worker thread with a controllable
 delay, so shedding, degradation, deadlines and coalescing are tested
@@ -16,14 +16,14 @@ import pytest
 from repro.errors import ConfigError, ServiceOverloadError, ServiceTimeoutError
 from repro.serve import ModelSpec
 from repro.serve.frontdoor import FrontDoor
-from repro.serve.stats import ClusterStatsView
+from repro.serve.stats import ServeStats
 
 SPEC = ModelSpec("quant", bw=8, bx=8)
 CHEAP = ModelSpec("fp32")
 
 
 class FakeCluster:
-    """Duck-typed stand-in for ServeCluster: threads, not processes.
+    """Duck-typed stand-in for an executor: threads, not processes.
 
     Logits encode ``request_id`` so tests can check request/response
     pairing through any amount of batching and routing.
@@ -36,7 +36,7 @@ class FakeCluster:
         self.batches = []
         self.inflight = 0
         self._lock = threading.Lock()
-        self._stats = ClusterStatsView()
+        self._stats = ServeStats()
         self._release = threading.Event()
         self._release.set()
 
@@ -50,6 +50,9 @@ class FakeCluster:
 
     def replica_count(self):
         return self.replicas
+
+    def is_warm(self, token):
+        return True
 
     def has_idle_replica(self, token):
         with self._lock:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.compile
 from repro.errors import ServiceOverloadError
 from repro.obs.journal import end_run, read_events, start_run
 from repro.obs.metrics import MetricRegistry
@@ -28,6 +29,13 @@ REQUEST_IDS = [3, 11, 4, 17]
 CHUNK = 2
 
 
+@pytest.fixture(autouse=True)
+def _interpreted():
+    """Every forward here, parent or replica, runs interpreted."""
+    with repro.compile.disabled():
+        yield
+
+
 def _token(bench, spec):
     return spec.resolved(bench.config).token()
 
@@ -39,9 +47,7 @@ class TestWarmOnMiss:
         """The acceptance scenario: shed now, warm behind, retry wins."""
         start_run(results_dir=str(tmp_path), run_id="warmup")
         try:
-            with ServeCluster(
-                serve_bench, workers=1, compile_models=False
-            ) as cluster:
+            with ServeCluster(serve_bench, workers=1) as cluster:
                 with ClusterService(cluster) as service:
                     token = _token(serve_bench, AMS_SPEC)
                     future = service.submit(AMS_SPEC, val_images[0], 3)
@@ -78,9 +84,7 @@ class TestWarmOnMiss:
     def test_cold_request_degrades_when_fallback_is_warm(
         self, serve_bench, val_images
     ):
-        with ServeCluster(
-            serve_bench, workers=1, compile_models=False
-        ) as cluster:
+        with ServeCluster(serve_bench, workers=1) as cluster:
             cluster.warm(QUANT_SPEC)
             with ClusterService(
                 cluster, fallback_spec=QUANT_SPEC
@@ -98,9 +102,7 @@ class TestWarmOnMiss:
 
     def test_warmups_deduplicated_per_token(self, serve_bench):
         """A request racing its own warm-up joins it, never trains twice."""
-        with ServeCluster(
-            serve_bench, workers=1, compile_models=False
-        ) as cluster:
+        with ServeCluster(serve_bench, workers=1) as cluster:
             first = cluster.warm_async(AMS_SPEC)
             second = cluster.warm_async(AMS_SPEC)
             assert first is second
@@ -115,7 +117,7 @@ class TestEvictionWhilePublished:
     ):
         """Warm-tier eviction while a replica holds the mmap."""
         images = val_images[: len(REQUEST_IDS)]
-        cluster = ServeCluster(serve_bench, workers=1, compile_models=False)
+        cluster = ServeCluster(serve_bench, workers=1)
         with cluster:
             cluster.warm(QUANT_SPEC)
             token = _token(serve_bench, QUANT_SPEC)
@@ -143,9 +145,7 @@ class TestBitIdentityWithLegacy:
         images = val_images[: len(REQUEST_IDS)]
         reference = self._legacy_chunked(serve_bench, spec, images)
         for workers in (1, 4):
-            with ServeCluster(
-                serve_bench, workers=workers, compile_models=False
-            ) as cluster:
+            with ServeCluster(serve_bench, workers=workers) as cluster:
                 cluster.warm(spec)
                 logits = np.concatenate(
                     [
@@ -181,7 +181,6 @@ class TestBitIdentityWithLegacy:
                     REQUEST_IDS[start : start + CHUNK],
                     bench.config.seed,
                     registry=MetricRegistry(),
-                    compile_models=False,
                 )
             )
         return np.concatenate(rows)

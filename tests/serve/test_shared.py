@@ -129,18 +129,48 @@ class TestModelLevelBinding:
         rebuilt.eval()
         assert bound_fraction(rebuilt) == 1.0
 
+        from repro.compile import disabled
         from repro.serve.executor import forward_with_request_noise
 
         images = serve_bench.data.val.images[:4]
         ids = [0, 1, 2, 3]
         seed = serve_bench.config.seed
-        ref = forward_with_request_noise(
-            model, images, ids, seed, compile_models=False
-        )
-        got = forward_with_request_noise(
-            rebuilt, images, ids, seed, compile_models=False
-        )
+        with disabled():
+            ref = forward_with_request_noise(model, images, ids, seed)
+            got = forward_with_request_noise(rebuilt, images, ids, seed)
         np.testing.assert_array_equal(ref, got)
+
+
+def test_cluster_weights_are_shared(serve_bench, val_images):
+    """The memory claim: replicas bind the published mmap, not copies.
+
+    Every replica must report 100% of its parameter bytes backed by
+    the shared mapping; the per-replica RSS is reported alongside so a
+    regression to copied weights shows up as both a fraction drop and
+    an RSS jump.
+    """
+    from repro.serve import ServeCluster
+
+    with ServeCluster(serve_bench, workers=2) as cluster:
+        cluster.warm(AMS_SPEC)
+        # Fault the mapping in on both replicas before reading.
+        futures = [
+            cluster.submit_batch(
+                AMS_SPEC, val_images[i : i + 4], range(i, i + 4)
+            )
+            for i in (0, 4)
+        ]
+        for future in futures:
+            future.result(timeout=120)
+        info = cluster.meminfo()
+    assert len(info) == 2
+    for replica, report in info.items():
+        assert report["models"] == 1
+        assert report["shared_fraction"] == pytest.approx(1.0), (
+            f"replica {replica} copied weights instead of binding "
+            f"the shared mapping: {report}"
+        )
+        assert report["rss_kb"] > 0
 
 
 def test_process_rss_reports_positive_on_linux():

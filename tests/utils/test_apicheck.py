@@ -25,7 +25,7 @@ class TestSurface:
         assert len(lines) > 100
         assert any(line.startswith("repro.serve.ModelSpec ") for line in lines)
         assert any(
-            line.startswith("repro.serve.InferenceEngine ") for line in lines
+            line.startswith("repro.serve.FrontDoor ") for line in lines
         )
 
     def test_every_package_contributes(self):

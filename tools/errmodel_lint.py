@@ -3,7 +3,7 @@
 Every error model draws its randomness through the
 :class:`~repro.ams.models.NoiseStreams` surface the host injector
 hands it — that is the whole mechanism by which the trainer, the
-compiled executor and the serving engine's per-request row generators
+compiled executor and the serving executors' per-request row generators
 see the *same* streams.  A model (or any AMS helper) that calls
 ``np.random.default_rng()`` / ``np.random.SeedSequence(...)`` directly
 mints a stream the host cannot reseed, checkpoint, or swap per
