@@ -4,8 +4,9 @@ These are the executable steps the scheduler
 (:mod:`repro.compile.schedule`) realizes a fused IR tape into, through
 :func:`lower_op` and :func:`lower_act`.  Each step consumes a raw numpy
 activation array and produces the next one, drawing every intermediate
-from the shared :class:`~repro.tensor.pool.BufferPool` and releasing
-its input as soon as it is consumed.  No autograd tensors, no backward
+from ``ctx.pool`` (the model's buffer tape, see
+:mod:`repro.compile.runtime`) and releasing each one, its input
+included, as soon as it is consumed.  No autograd tensors, no backward
 closures, no per-batch weight quantization — those costs were paid
 once, at compile time.
 

@@ -3,9 +3,10 @@
 The scheduler (:mod:`repro.compile.schedule`) lowers a fused IR tape
 into a flat list of executable *steps* built by
 :mod:`repro.compile.kernels`.  Everything a step needs at run time —
-pooled buffer ownership tracking, the recorded buffer tape that makes
-steady-state forwards allocation-free, residual-block control flow,
-and the :class:`CompiledModel` front door — lives here.
+buffer ownership tracking, the recorded buffer tape whose slots are
+planned by liveness into one arena per model (so steady-state forwards
+allocate nothing), residual-block control flow, and the
+:class:`CompiledModel` front door — lives here.
 
 A step is any object with ``run(x, ctx) -> ndarray`` and an ``op``
 string for the profiler; activation *appliers* (used inside residual
@@ -14,13 +15,16 @@ blocks) expose ``apply(dst, pool)``.
 
 from __future__ import annotations
 
+import math
 import threading
+import weakref
 from collections import OrderedDict
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.obs.metrics import default_registry
 from repro.tensor.pool import BufferPool, default_pool
 from repro.utils import profiler as _profiler
 
@@ -33,6 +37,73 @@ __all__ = [
 #: Distinct batch shapes a CompiledModel keeps bound buffer tapes for.
 _MAX_BINDINGS = 8
 
+#: Byte alignment of the arena and of every slot offset in it.
+_ALIGN = 64
+
+
+def _aligned_empty(nbytes: int) -> np.ndarray:
+    """An uninitialized ``uint8`` buffer whose data is ``_ALIGN``-aligned."""
+    raw = np.empty(nbytes + _ALIGN, np.uint8)
+    start = -raw.ctypes.data % _ALIGN
+    return raw[start : start + nbytes]
+
+
+def _padded(nbytes: int) -> int:
+    return -(-nbytes // _ALIGN) * _ALIGN
+
+
+class _Slot:
+    """One ``get`` of a recorded tape: what it asked for and how long it lived.
+
+    ``t_get`` and ``t_release`` are ticks of the recording's event
+    clock (one tick per ``get`` or accepted ``release``); a slot never
+    released lives to the end of the run.  ``offset`` is its byte
+    offset in the arena, set by :func:`_plan`.
+    """
+
+    __slots__ = ("shape", "dtype", "nbytes", "t_get", "t_release", "offset")
+
+    def __init__(self, shape, dtype, nbytes, t_get):
+        self.shape = shape
+        self.dtype = dtype
+        self.nbytes = nbytes
+        self.t_get = t_get
+        self.t_release = None
+        self.offset = 0
+
+    def overlaps(self, other: "_Slot") -> bool:
+        return self.t_get < other.t_release and other.t_get < self.t_release
+
+
+def _plan(slots: List[_Slot]) -> int:
+    """Place every slot by byte offset; returns the arena bytes needed.
+
+    Greedy by size: the largest slot goes first, and each slot takes
+    the smallest gap (best fit) left between the already placed slots
+    whose lifetimes overlap its own, or the first offset past them.
+    Two slots share bytes only if one was released before the other
+    was drawn, whatever their shapes and dtypes.
+    """
+    placed: List[_Slot] = []
+    size = 0
+    for slot in sorted(slots, key=lambda s: -s.nbytes):
+        need = _padded(slot.nbytes)
+        busy = sorted(
+            (p.offset, p.offset + _padded(p.nbytes))
+            for p in placed
+            if slot.overlaps(p)
+        )
+        best_gap, offset, end = None, None, 0
+        for lo, hi in busy:
+            gap = lo - end
+            if gap >= need and (best_gap is None or gap < best_gap):
+                best_gap, offset = gap, end
+            end = max(end, hi)
+        slot.offset = end if offset is None else offset
+        placed.append(slot)
+        size = max(size, slot.offset + need)
+    return size
+
 
 class _TapePool:
     """Pool facade that binds one batch shape's buffer sequence.
@@ -40,46 +111,58 @@ class _TapePool:
     The step kernels request and release intermediates in a sequence
     that is a pure function of the step list and the input shape.  The
     first run at a given batch shape *records* that sequence: every
-    ``get`` is served through a simulated free list (reproducing the
-    real pool's intra-run recycling, so peak memory matches pooled
-    execution) with misses drawn from the real pool, and the handed-out
-    array is appended to a tape.  The drawn buffers are never returned
-    to the real pool — they stay bound to the tape.
+    ``get`` hands out a fresh aligned buffer and notes a :class:`_Slot`
+    (shape, dtype, bytes and the clock tick it was drawn at), and
+    ``release`` notes the tick it died at and drops the tape's
+    reference.  A release of an array the tape did not hand out (the
+    caller's input, an interpreter fallback's output) is ignored, so
+    no foreign array can ever be handed out again.  :meth:`finish`
+    then plans every slot into byte offsets by liveness (:func:`_plan`),
+    and :meth:`bind` makes each slot a view into the model's arena.
 
-    Every later run *replays* the tape: ``get`` pops the next bound
-    buffer and ``release`` is a no-op, so a steady-state forward pass
+    Every later run *replays* the tape: ``get`` returns the next slot's
+    view and ``release`` is a no-op, so a steady-state forward pass
     does zero pool bookkeeping (no locks, no key hashing, no free-list
-    scans).  Replay is valid because recording reproduced the exact
-    aliasing the real pool would have produced.
+    scans).  Replay is valid because two slots share bytes only when
+    the recording run released one before it drew the other.
 
     Buffers whose shape drifts out of sync with the tape (a mutated
     model, a toggled injector) raise rather than corrupt — the caller
     is expected to recompile via the model fingerprint instead.
     """
 
-    __slots__ = ("pool", "tape", "recording", "cursor", "_free")
+    __slots__ = (
+        "slots", "views", "recording", "cursor", "plan_bytes",
+        "_live", "_clock",
+    )
 
-    def __init__(self, pool: BufferPool):
-        self.pool = pool
-        self.tape: List[np.ndarray] = []
+    def __init__(self):
+        self.slots: List[_Slot] = []
+        self.views: List[np.ndarray] = []
         self.recording = True
         self.cursor = 0
-        self._free: Dict[Tuple, List[np.ndarray]] = {}
+        self.plan_bytes = 0
+        self._live: Dict[int, Tuple[np.ndarray, _Slot]] = {}
+        self._clock = 0
 
     def get(self, shape, dtype=np.float32) -> np.ndarray:
         if self.recording:
-            key = (tuple(shape), np.dtype(dtype))
-            bucket = self._free.get(key)
-            arr = bucket.pop() if bucket else self.pool.get(shape, dtype)
-            self.tape.append(arr)
+            shape = tuple(shape)
+            dtype = np.dtype(dtype)
+            nbytes = math.prod(shape) * dtype.itemsize
+            arr = _aligned_empty(nbytes).view(dtype).reshape(shape)
+            slot = _Slot(shape, dtype, nbytes, self._clock)
+            self._clock += 1
+            self.slots.append(slot)
+            self._live[id(arr)] = (arr, slot)
             return arr
         cursor = self.cursor
-        if cursor >= len(self.tape):
+        if cursor >= len(self.views):
             raise RuntimeError(
                 "compiled buffer tape out of sync (model mutated after "
                 "compile?); recompile via maybe_compiled"
             )
-        arr = self.tape[cursor]
+        arr = self.views[cursor]
         if arr.shape != tuple(shape):
             raise RuntimeError(
                 f"compiled buffer tape out of sync: expected "
@@ -89,24 +172,57 @@ class _TapePool:
         return arr
 
     def release(self, arr: np.ndarray) -> None:
-        if self.recording and isinstance(arr, np.ndarray):
-            self._free.setdefault(
-                (arr.shape, arr.dtype), []
-            ).append(arr)
+        if self.recording:
+            entry = self._live.pop(id(arr), None)
+            if entry is not None:
+                entry[1].t_release = self._clock
+                self._clock += 1
 
-    def finish(self) -> None:
-        """Seal the tape after the recording run."""
+    def finish(self) -> int:
+        """Seal the tape after the recording run; returns its plan's bytes."""
         self.recording = False
-        self._free.clear()
+        for _, slot in self._live.values():
+            slot.t_release = self._clock
+        self._live.clear()
+        self.plan_bytes = _plan(self.slots)
+        return self.plan_bytes
 
-    def unbind(self) -> None:
-        """Hand every bound buffer back to the real pool (eviction)."""
-        seen = set()
-        for arr in self.tape:
-            if id(arr) not in seen:
-                seen.add(id(arr))
-                self.pool.release(arr)
-        self.tape = []
+    def bind(self, arena: np.ndarray) -> None:
+        """Make every slot a view into ``arena`` at its planned offset."""
+        self.views = [
+            arena[s.offset : s.offset + s.nbytes]
+            .view(s.dtype)
+            .reshape(s.shape)
+            for s in self.slots
+        ]
+
+
+class _Arena:
+    """One model's flat, aligned byte buffer that its bound tapes view.
+
+    It only grows, and its size is kept in the default registry's
+    ``compile.tape_bytes`` gauge until :meth:`free` (called when the
+    owning model is collected).
+    """
+
+    __slots__ = ("buf", "_gauge")
+
+    def __init__(self):
+        self.buf = _aligned_empty(0)
+        self._gauge = default_registry().gauge("compile.tape_bytes")
+
+    def reserve(self, nbytes: int) -> bool:
+        """Grow to at least ``nbytes``; True when the buffer was replaced."""
+        held = self.buf.nbytes
+        if nbytes <= held:
+            return False
+        self.buf = _aligned_empty(nbytes)
+        self._gauge.inc(nbytes - held)
+        return True
+
+    def free(self) -> None:
+        self._gauge.dec(self.buf.nbytes)
+        self.buf = _aligned_empty(0)
 
 
 class _Ctx:
@@ -198,16 +314,21 @@ class CompiledModel:
     consumed to keep steady-state inference allocation-free, or use
     :meth:`predict` for a detached copy.
 
-    The first run at each input shape records a buffer tape (see
-    :class:`_TapePool`); later runs at that shape replay it and touch
-    the shared pool exactly once, for the caller's logits buffer.  At
-    most ``_MAX_BINDINGS`` shapes stay bound (LRU); evicted tapes hand
-    their buffers back to the pool.  Runs are serialized by an internal
-    lock — concurrent callers share one executor safely, as the serving
-    executors' per-model locks already assume.
+    The first run at each input shape records a buffer tape and plans
+    it by liveness (see :class:`_TapePool`); later runs at that shape
+    replay it and touch the shared pool exactly once, for the caller's
+    logits buffer.  Every bound tape is a set of views into one arena
+    per model, sized to the largest plan recorded so far
+    (:attr:`arena_bytes`); the runs never overlap, so the tapes can
+    share it.  At most ``_MAX_BINDINGS`` shapes stay bound (LRU); an
+    evicted tape drops its plan, and the arena stays.  Runs are
+    serialized by an internal lock — concurrent callers share one
+    executor safely, as the serving executors' per-model locks already
+    assume.
 
     Execute wall times land in the ``compile.execute_seconds``
-    histogram of the default metric registry.
+    histogram of the default metric registry, and the arena's bytes in
+    its ``compile.tape_bytes`` gauge.
     """
 
     def __init__(self, steps: List, fingerprint=None):
@@ -215,11 +336,24 @@ class CompiledModel:
         self.fingerprint = fingerprint
         self._bindings: "OrderedDict[Tuple, _TapePool]" = OrderedDict()
         self._lock = threading.Lock()
-        from repro.obs.metrics import default_registry
-
+        self._arena = _Arena()
+        weakref.finalize(self, self._arena.free)
         self._execute_seconds = default_registry().histogram(
             "compile.execute_seconds"
         )
+
+    @property
+    def arena_bytes(self) -> int:
+        """Bytes of the arena every bound tape's slots view."""
+        return self._arena.buf.nbytes
+
+    def _bind(self, tape: _TapePool) -> None:
+        """Plan a freshly recorded tape and bind it into the arena."""
+        if self._arena.reserve(tape.finish()):
+            for bound in self._bindings.values():
+                bound.bind(self._arena.buf)
+        else:
+            tape.bind(self._arena.buf)
 
     def run(self, images) -> np.ndarray:
         """One forward pass; returns a pooled logits buffer (caller owns)."""
@@ -232,12 +366,9 @@ class CompiledModel:
             tape = self._bindings.get(x.shape)
             if tape is None:
                 while len(self._bindings) >= _MAX_BINDINGS:
-                    _, evicted = self._bindings.popitem(last=False)
-                    evicted.unbind()
-                    from repro.obs.metrics import default_registry
-
+                    self._bindings.popitem(last=False)
                     default_registry().counter("compile.tapes_evicted").inc()
-                tape = _TapePool(pool)
+                tape = _TapePool()
                 self._bindings[x.shape] = tape
             else:
                 self._bindings.move_to_end(x.shape)
@@ -247,14 +378,13 @@ class CompiledModel:
             except BaseException:
                 # A half-recorded (or desynced) tape must not survive.
                 self._bindings.pop(x.shape, None)
-                tape.unbind()
                 raise
-            if tape.recording:
-                tape.finish()
-            # The logits live in a bound tape buffer; hand the caller a
-            # pooled copy so tape buffers never escape the binding.
+            # The logits live in a tape buffer; hand the caller a pooled
+            # copy so tape buffers never escape the binding.
             result = pool.get(out.shape, out.dtype)
             np.copyto(result, out)
+            if tape.recording:
+                self._bind(tape)
         self._execute_seconds.observe(perf_counter() - started)
         return result
 

@@ -1,10 +1,11 @@
 """Compiled runs allocate nothing at steady state.
 
 After one warm-up run every intermediate — im2col columns, matmul
-output, activation masks, noise draws — comes out of the buffer pool,
-and every release is accepted (no stray views, no double releases).
-The pool's counters cannot see a temporary numpy allocates and frees
-inside one call, so ``tracemalloc`` bounds the run's peak as well.
+output, activation masks, noise draws — is a view into the model's
+tape arena, and the shared buffer pool serves only the caller's
+logits buffer, whose release it accepts.  The pool's counters cannot
+see a temporary numpy allocates and frees inside one call, so
+``tracemalloc`` bounds the run's peak as well.
 """
 
 from __future__ import annotations
