@@ -78,12 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_common(explore)
 
-    cache = sub.add_parser(
-        "cache", help="deprecated alias of 'registry list' / 'registry evict'"
-    )
-    cache.add_argument("action", choices=("list", "clear"))
-    cache.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
-
     registry_cmd = sub.add_parser(
         "registry",
         help="manage the model-artifact registry "
@@ -294,26 +288,6 @@ def _run_one(
 
 #: Recognized ``registry`` actions (sorted; did-you-mean on a miss).
 _REGISTRY_ACTIONS = ("evict", "list", "stats", "warm")
-
-
-def _handle_cache(action: str, cache_dir: str) -> int:
-    """Deprecated ``cache list|clear`` alias over the registry CLI.
-
-    Same artifacts, but eviction now goes through
-    :func:`repro.registry.layout.evict_artifacts` — which never
-    deletes a **live** temporary, so ``cache clear`` racing a worker
-    mid-publication can no longer tear the worker's atomic write.
-    """
-    from repro.obs.deprecation import warn_once
-
-    warn_once(
-        "cli.cache",
-        "'cache list|clear' is deprecated; use 'registry list' / "
-        "'registry evict --all' — same artifacts, race-safe eviction",
-    )
-    if action == "list":
-        return _registry_list(cache_dir)
-    return _registry_evict(cache_dir, everything=True)
 
 
 def _registry_list(cache_dir: str) -> int:
@@ -793,8 +767,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.command == "errmodels":
         return _handle_errmodels()
-    if args.command == "cache":
-        return _handle_cache(args.action, args.cache_dir)
     if args.command == "registry":
         return _handle_registry(args, cli_argv)
     if args.command == "obs":

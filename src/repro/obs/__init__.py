@@ -15,7 +15,7 @@ did it emit" for every layer of the stack:
   torn final line a crash leaves.
 - :mod:`repro.obs.trace` — nestable, thread-aware :func:`span` brackets
   on the monotonic clock that forward into the op profiler
-  (``--profile-ops``), replacing the legacy ``profiler.bracket``.
+  (``--profile-ops``).
 - :class:`EvalResult` — the one evaluation result shape (accuracy,
   logits hash, wall time, noise seed); a float subclass, so legacy
   call sites are untouched.

@@ -1,8 +1,8 @@
-"""Warn-once deprecation helper shared by the telemetry shims.
+"""Warn-once deprecation helper shared by the deprecation shims.
 
 The single per-process registry behind every deprecation shim (the
-legacy ``cache`` CLI alias, the ``Workbench.model``/keyword shims, the
-profiler bracket): the first use of a deprecated entry point emits one
+``Workbench.model``/keyword shims, the legacy injector constructor):
+the first use of a deprecated entry point emits one
 :class:`DeprecationWarning` per process, later uses are silent.  Tests
 reset the registry via :func:`reset` to assert the exactly-once
 contract.

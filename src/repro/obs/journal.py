@@ -434,7 +434,7 @@ def journal_event(event_type: str, **payload) -> bool:
     Returns True when the event was written.  The inactive path is one
     global read and a None check, cheap enough for library code to
     call unconditionally (bounded alongside the profiler's disabled
-    brackets in ``benchmarks/test_bench_overhead.py``).
+    brackets in ``tests/obs/test_disabled_cost.py``).
     """
     journal = _CURRENT
     if journal is None or journal.closed:

@@ -8,9 +8,7 @@ use.  A span:
   parent and depth even on the serving executor's thread;
 - **forwards into the op profiler**: when ``--profile-ops`` is active,
   every span shows up as an op record under its name, with the same
-  pool-allocation deltas the kernel brackets report.  The legacy
-  ``repro.utils.profiler.bracket`` is now a deprecated alias of this
-  function.
+  pool-allocation deltas the kernel brackets report.
 
 When nothing is listening (no active profiler, no capture buffer) a
 span costs two thread-local reads and two ``perf_counter`` calls —

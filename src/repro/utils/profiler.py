@@ -6,7 +6,7 @@ is how they are *measured* instead of asserted.  Hot operators
 injection, optimizer steps, eval passes, train epochs) bracket their
 work with :func:`op_start` / :func:`op_end`.  When no profiler is
 active these helpers cost one attribute read and a ``None`` check —
-the disabled overhead is bounded by ``benchmarks/test_bench_overhead.py``.
+the disabled overhead is bounded by ``tests/obs/test_disabled_cost.py``.
 
 Times are *inclusive*: ``conv2d.forward`` contains the ``im2col`` time
 of that call, like a flat sampling profiler's self+children column.
@@ -22,11 +22,10 @@ Usage::
         run_experiment(...)
     print(prof.report())
 
-Block-level bracketing now lives in :func:`repro.obs.span`, which
-forwards into the active profiler (so span names keep appearing as op
-records); the old :func:`bracket` helper is a deprecated alias of it.
-The raw ``op_start``/``op_end`` pair remains the supported primitive
-for kernel-grade hot paths.
+Block-level bracketing lives in :func:`repro.obs.span`, which
+forwards into the active profiler (so span names appear as op
+records).  The raw ``op_start``/``op_end`` pair remains the supported
+primitive for kernel-grade hot paths.
 """
 
 from __future__ import annotations
@@ -157,27 +156,6 @@ def op_end(token: Optional[Tuple[float, int]], op: str) -> None:
         perf_counter() - token[0],
         default_pool().stats.allocations - token[1],
     )
-
-
-def bracket(op: str):
-    """Deprecated: use :func:`repro.obs.span` instead.
-
-    ``bracket`` was the with-statement form of
-    :func:`op_start`/:func:`op_end`; trace spans subsume it (same op
-    records under ``--profile-ops``, plus nesting and thread
-    awareness).  This alias delegates to ``obs.span`` and emits one
-    DeprecationWarning per process.
-    """
-    from repro.obs.deprecation import warn_once
-    from repro.obs.trace import span
-
-    warn_once(
-        "profiler.bracket",
-        "repro.utils.profiler.bracket() is deprecated; use "
-        "repro.obs.span() — same profiler op records, plus trace "
-        "nesting",
-    )
-    return span(op)
 
 
 # ----------------------------------------------------------------------

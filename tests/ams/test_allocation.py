@@ -12,7 +12,7 @@ from repro.ams.allocation import (
     uniform_energy,
     uniform_variance,
 )
-from repro.ams.injection import AMSErrorInjector
+from repro.ams.models import AMSErrorInjector
 from repro.ams.vmac import VMACConfig, total_error_std
 from repro.errors import ConfigError
 from repro.models import AMSFactory, resnet_small

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ams.injection import AMSErrorInjector, InjectionPolicy
+from repro.ams.models import AMSErrorInjector, InjectionPolicy
 from repro.ams.vmac import VMACConfig, total_error_std
 from repro.errors import ConfigError
 from repro.tensor.tensor import Tensor

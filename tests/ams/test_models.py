@@ -323,23 +323,6 @@ class TestDeprecationShims:
             warnings.simplefilter("error")
             AMSErrorInjector(CONFIG, NTOT, rng=np.random.default_rng(0))
 
-    def test_legacy_import_path_warns_once(self):
-        import repro.ams.injection as legacy
-
-        deprecation.reset("repro.ams.injection.AMSErrorInjector")
-        with pytest.warns(DeprecationWarning, match="repro.ams.models"):
-            cls = legacy.AMSErrorInjector
-        assert cls is AMSErrorInjector
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert legacy.AMSErrorInjector is AMSErrorInjector
-
-    def test_legacy_module_rejects_unknown_names(self):
-        import repro.ams.injection as legacy
-
-        with pytest.raises(AttributeError):
-            legacy.NoSuchThing
-
 
 class TestNoiseStreams:
     def test_chunked_rows_equal_whole_buffer(self):

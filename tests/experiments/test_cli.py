@@ -17,23 +17,11 @@ class TestList:
 
 
 class TestCache:
+    """The model cache through ``registry list`` / ``registry evict``."""
+
     def test_cache_list_empty_dir(self, tmp_path, capsys):
-        assert main(["cache", "list", "--cache-dir", str(tmp_path)]) == 0
+        assert main(["registry", "list", "--cache-dir", str(tmp_path)]) == 0
         assert "empty" in capsys.readouterr().out
-
-    def test_cache_list_missing_dir(self, tmp_path, capsys):
-        missing = str(tmp_path / "nope")
-        assert main(["cache", "list", "--cache-dir", missing]) == 0
-        assert "no cache" in capsys.readouterr().out
-
-    def test_cache_list_and_clear(self, tmp_path, capsys):
-        np.savez(str(tmp_path / "model.npz"), w=np.zeros(3))
-        (tmp_path / "model.json").write_text("{}")
-        assert main(["cache", "list", "--cache-dir", str(tmp_path)]) == 0
-        assert "model.npz" in capsys.readouterr().out
-        assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
-        assert "removed 2" in capsys.readouterr().out
-        assert not os.listdir(tmp_path)
 
     def test_stale_tmp_files_hidden_from_list_removed_by_clear(
         self, tmp_path, capsys
@@ -42,12 +30,15 @@ class TestCache:
         np.savez(str(tmp_path / "quant-bw8-bx8.npz"), w=np.zeros(3))
         (tmp_path / "quant-bw8-bx8.tmp4242.npz").write_bytes(b"partial")
         (tmp_path / "quant-bw8-bx8.tmp4242.json").write_text("{")
-        assert main(["cache", "list", "--cache-dir", str(tmp_path)]) == 0
+        assert main(["registry", "list", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "quant-bw8-bx8.npz" in out
         assert "tmp4242" not in out
         assert "2 stale tmp file(s)" in out
-        assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
+        assert (
+            main(["registry", "evict", "--cache-dir", str(tmp_path), "--all"])
+            == 0
+        )
         out = capsys.readouterr().out
         assert "removed 3" in out
         assert "including 2 stale tmp" in out

@@ -53,6 +53,7 @@ class TestTable1:
         labels = [row[0] for row in result.rows]
         assert labels[0] == "FP32"
         assert "BW=8, BX=8" in labels
+        assert len(result.rows) == len(table1.CONFIGS)
         accuracies = result.extras["accuracies"]
         # At micro scale we only require sane probabilities and that the
         # catastrophic config is worst or near-worst.
@@ -66,6 +67,8 @@ class TestFig4:
         assert set(result.extras["eval_losses"]) == set(
             result.extras["retrain_losses"]
         )
+        # enob, eval loss + std, retrain loss + std, recovery
+        assert all(len(row) == 6 for row in result.rows)
 
     def test_low_enob_hurts_eval_only(self, micro_bench):
         """At micro scale the trend can be noisy; allow a small slack
@@ -81,6 +84,7 @@ class TestFig5:
     def test_cutoffs_reported(self, micro_bench):
         result = fig5.run(micro_bench)
         assert "cutoff_1pct" in result.extras
+        assert "cutoff_within_std" in result.extras
         assert len(result.rows) == len(micro_bench.config.enob_sweep)
 
 
@@ -90,6 +94,7 @@ class TestTable2:
         labels = [row[0] for row in result.rows]
         assert labels == ["None", "Conv", "BN", "FC", "BN and FC"]
         assert set(result.extras["losses"]) == set(labels)
+        assert result.extras["enob"] == micro_bench.config.table2_enob
 
 
 class TestFig6:
@@ -99,6 +104,9 @@ class TestFig6:
         assert 0 <= result.extras["pushed_layers"] <= 9
         # one row per probed layer (9 convs + fc)
         assert len(result.rows) == 10
+        # label + FP32 + quantized + one column per AMS noise level
+        width = 3 + len(micro_bench.config.fig6_enobs)
+        assert all(len(row) == width for row in result.rows)
 
 
 class TestFig8:
@@ -164,6 +172,8 @@ class TestPvt:
             label, raw_mean, raw_worst, recal_mean, recal_worst = row
             assert raw_worst <= raw_mean + 1e-9
             assert recal_worst <= recal_mean + 1e-9
+        for pop in result.extras["populations"].values():
+            assert len(pop["raw"]) == len(pop["recalibrated"]) == pvt.DEVICES
 
 
 class TestRunExperiment:

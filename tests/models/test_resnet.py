@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ams.injection import AMSErrorInjector
+from repro.ams.models import AMSErrorInjector
 from repro.ams.vmac import VMACConfig
 from repro.errors import ConfigError
 from repro.models import (

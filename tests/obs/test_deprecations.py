@@ -1,8 +1,6 @@
-"""The re-homed telemetry surfaces warn exactly once per process."""
+"""The one warn-once registry behind every deprecation shim."""
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -15,13 +13,6 @@ def _fresh_warn_state():
     deprecation.reset()
     yield
     deprecation.reset()
-
-
-def _caught(fn) -> list:
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        fn()
-    return [w for w in caught if issubclass(w.category, DeprecationWarning)]
 
 
 class TestWarnOnce:
@@ -39,27 +30,3 @@ class TestWarnOnce:
         deprecation.reset("test.a")
         assert deprecation.warn_once("test.a", "msg") is True
         assert deprecation.warn_once("test.b", "msg") is False
-
-
-class TestProfilerBracket:
-    def test_warns_exactly_once_and_still_works(self):
-        from repro.obs.trace import Span
-        from repro.utils import profiler
-
-        def use_bracket():
-            with profiler.bracket("legacy.op") as record:
-                assert isinstance(record, Span)
-                assert record.name == "legacy.op"
-
-        first = _caught(use_bracket)
-        assert len(first) == 1
-        assert "obs.span" in str(first[0].message)
-        assert _caught(use_bracket) == []
-
-    def test_bracket_forwards_to_the_profiler_like_span(self):
-        from repro.utils import profiler
-
-        with profiler.profiled() as prof:
-            with profiler.bracket("legacy.op"):
-                pass
-        assert prof.records()["legacy.op"].calls == 1

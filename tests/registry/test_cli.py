@@ -1,4 +1,4 @@
-"""The ``registry`` CLI: list/stats/evict plus the legacy alias.
+"""The ``registry`` CLI: list/stats/evict/warm.
 
 Fail-fast contract: misuse (unknown action, ambiguous evict flags)
 exits 2 with a diagnostic on stderr — never a traceback, never a
@@ -8,13 +8,10 @@ partial eviction.
 from __future__ import annotations
 
 import os
-import warnings
 
 import numpy as np
-import pytest
 
 from repro.experiments.cli import main
-from repro.obs import deprecation
 
 
 def _fake_artifact(tmp_path, stem: str) -> None:
@@ -113,6 +110,9 @@ class TestEvict:
         assert "exactly one of" in capsys.readouterr().err
 
     def test_live_tmp_survives_evict_all(self, tmp_path, capsys):
+        """Race-safe sweep: complete artifacts go, a live writer's
+        temporary stays, so a concurrent publication is never torn."""
+        _fake_artifact(tmp_path, "quick-s77-fp32")
         live = tmp_path / f"quick-s77-fp32.npz.tmp{os.getpid()}"
         live.write_bytes(b"half-written")
         assert (
@@ -121,8 +121,11 @@ class TestEvict:
             )
             == 0
         )
-        assert "kept 1 live tmp" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "removed 2" in out
+        assert "kept 1 live tmp" in out
         assert live.exists()
+        assert sorted(os.listdir(tmp_path)) == [live.name]
 
 
 class TestFailFast:
@@ -155,34 +158,3 @@ class TestFailFast:
             == 2
         )
         assert "error:" in capsys.readouterr().err
-
-
-class TestLegacyCacheAlias:
-    @pytest.fixture(autouse=True)
-    def _fresh_warning(self):
-        deprecation.reset("cli.cache")
-        yield
-        deprecation.reset("cli.cache")
-
-    def test_cache_list_warns_once(self, tmp_path):
-        with pytest.deprecated_call(match="registry list"):
-            assert (
-                main(["cache", "list", "--cache-dir", str(tmp_path)]) == 0
-            )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a repeat would now raise
-            assert (
-                main(["cache", "list", "--cache-dir", str(tmp_path)]) == 0
-            )
-
-    def test_cache_clear_is_race_safe(self, tmp_path, capsys):
-        """The alias routes through evict_artifacts: live tmps kept."""
-        _fake_artifact(tmp_path, "quick-s77-fp32")
-        live = tmp_path / f"quick-s77-fp32.npz.tmp{os.getpid()}"
-        live.write_bytes(b"half-written")
-        with pytest.deprecated_call():
-            assert (
-                main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
-            )
-        assert "removed 2" in capsys.readouterr().out
-        assert live.exists()

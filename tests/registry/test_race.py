@@ -1,8 +1,8 @@
 """Eviction vs. in-flight publication: the stale-eviction race.
 
-An operator running ``registry evict`` (or the old ``cache clear``)
-while a worker is mid-``save_state`` must never delete the writer's
-live temporary — doing so crashes the writer's ``os.replace`` and
+An operator running ``registry evict`` while a worker is
+mid-``save_state`` must never delete the writer's live temporary —
+doing so crashes the writer's ``os.replace`` and
 leaves a torn artifact behind.  The layout helpers classify
 temporaries by the pid baked into their file name and only sweep the
 ones whose writer is dead.

@@ -87,19 +87,3 @@ class TestWorkerSuppression:
             assert deprecation.in_worker_process()
         finally:
             sweep_mod._WORKER_BENCH = None
-
-
-class TestShimsShareTheRegistry:
-    def test_workbench_shim_and_cli_cache_use_distinct_keys(self, tmp_path):
-        """The CLI cache alias and the Workbench shims must not mask
-        each other: distinct keys, one warning each."""
-        from repro.experiments.cli import _handle_cache
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _handle_cache("list", str(tmp_path / "nowhere"))
-            _handle_cache("list", str(tmp_path / "nowhere"))
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1

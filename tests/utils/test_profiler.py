@@ -13,19 +13,6 @@ class TestBrackets:
         assert token is None
         profiler.op_end(token, "noop")  # must not raise
 
-    def test_bracket_context_manager(self):
-        with profiler.profiled() as prof:
-            with profiler.bracket("ctx.op"):
-                pass
-            with profiler.bracket("ctx.op"):
-                pass
-        assert prof.records()["ctx.op"].calls == 2
-
-    def test_bracket_disabled_is_inert(self):
-        profiler.disable()
-        with profiler.bracket("noop"):
-            pass  # must not raise or record
-
     def test_add_is_thread_safe(self):
         import threading
 
