@@ -28,10 +28,11 @@ the historical hard-coded injector.  The built-in zoo of richer models
 lives in :mod:`repro.ams.zoo` and registers itself on import.
 
 All randomness inside ``repro/ams/`` must flow through
-:class:`NoiseStreams` (``tools/errmodel_lint.py`` forbids bare
-``np.random`` calls in this package as a tier-1 check) so that the
-trainer, the compiled executor and the serving executor's per-request
-row generators all see exactly the streams the host attached.
+:class:`NoiseStreams` (rule ``errmodel-rng`` of ``tools/lint.py``
+forbids bare ``np.random`` calls in this package as a tier-1 check) so
+that the trainer, the compiled executor and the serving executor's
+per-request row generators all see exactly the streams the host
+attached.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ import numpy as np
 from repro.ams.vmac import VMACConfig, total_error_std
 from repro.errors import ConfigError
 from repro.nn.module import Module
-from repro.obs.deprecation import warn_once
 from repro.tensor.functional import add_forward_noise
 from repro.tensor.pool import default_pool
 from repro.tensor.tensor import Tensor
@@ -155,8 +155,9 @@ class NoiseStreams:
     attaches for per-request determinism, and any extra named streams
     the model declared via :attr:`ErrorModel.extra_streams`.  Models
     draw only through this object — never from ``np.random`` directly
-    (``tools/errmodel_lint.py`` enforces this), which is what keeps
-    interpreter/compiled/serve draws stream-for-stream identical.
+    (rule ``errmodel-rng`` of ``tools/lint.py`` enforces this), which is
+    what keeps interpreter/compiled/serve draws stream-for-stream
+    identical.
     """
 
     __slots__ = ("rng", "row_rngs", "extra")
@@ -436,10 +437,8 @@ class AMSErrorInjector(Module):
         Noise generator; pass a spawned child generator per layer so
         runs are reproducible.
     model:
-        An :class:`ErrorModel` instance or registered name.  Prefer
-        :func:`make_injector`; constructing without a model is the
-        legacy signature and warns once, then hosts
-        ``"lumped_gaussian"``.
+        An :class:`ErrorModel` instance or registered name (see
+        :func:`make_injector`).
     model_params:
         Parameters forwarded to the registry when ``model`` is a name.
 
@@ -458,21 +457,13 @@ class AMSErrorInjector(Module):
         policy: InjectionPolicy = InjectionPolicy(),
         rng: Optional[np.random.Generator] = None,
         *,
-        model=None,
+        model,
         model_params: Optional[dict] = None,
     ):
         super().__init__()
         if ntot < 1:
             raise ConfigError(f"ntot must be >= 1, got {ntot}")
-        if model is None:
-            warn_once(
-                "repro.ams.AMSErrorInjector.legacy-init",
-                "constructing AMSErrorInjector without an error model is "
-                "deprecated; use repro.ams.models.make_injector(), which "
-                "resolves models through the registry",
-            )
-            model = get_model("lumped_gaussian", model_params)
-        elif isinstance(model, str):
+        if isinstance(model, str):
             model = get_model(model, model_params)
         elif model_params:
             raise ConfigError(

@@ -22,9 +22,9 @@ Each class wires existing AMS math into the forward path through the
 =====================  ==================================================
 
 Every model draws exclusively through the host's
-:class:`~repro.ams.models.NoiseStreams` (the tier-1
-``tools/errmodel_lint.py`` check) and keeps per-row draws confined to
-that row's generator, so serve-mode noise stays a pure function of the
+:class:`~repro.ams.models.NoiseStreams` (rule ``errmodel-rng`` of the
+tier-1 ``tools/lint.py``) and keeps per-row draws confined to that
+row's generator, so serve-mode noise stays a pure function of the
 request stream at any batch composition.
 """
 

@@ -30,7 +30,6 @@ Entry points
 from __future__ import annotations
 
 import contextlib
-import warnings
 from typing import Optional
 
 from repro.compile import ir, schedule
@@ -38,6 +37,7 @@ from repro.compile.compiler import compile_model, lower_model
 from repro.compile.runtime import CompiledModel
 from repro.errors import CompileError
 from repro.nn.module import Module
+from repro.obs.deprecation import warn_once
 from repro.tensor.im2col import (
     Im2colPlan,
     clear_plan_cache,
@@ -64,9 +64,6 @@ __all__ = [
 ]
 
 _ENABLED = True
-
-#: Fallback reasons whose warn-once log already fired this process.
-_FALLBACK_WARNED: set = set()
 
 
 def enabled() -> bool:
@@ -119,9 +116,9 @@ def _note_fallback(registry, reason: str, warn: bool) -> None:
     process.
     """
     registry.counter("compile.interpreter_fallback", reason=reason).inc()
-    if warn and reason not in _FALLBACK_WARNED:
-        _FALLBACK_WARNED.add(reason)
-        warnings.warn(
+    if warn:
+        warn_once(
+            f"compile.interpreter_fallback.{reason}",
             f"compiled inference unavailable ({reason}); requests are "
             "falling back to the interpreted forward pass — this is "
             "correct but slower (warned once per process; see the "
@@ -129,11 +126,6 @@ def _note_fallback(registry, reason: str, warn: bool) -> None:
             RuntimeWarning,
             stacklevel=3,
         )
-
-
-def reset_fallback_warnings() -> None:
-    """Forget fired fallback warnings (for tests)."""
-    _FALLBACK_WARNED.clear()
 
 
 def maybe_compiled(model: Module) -> Optional[CompiledModel]:

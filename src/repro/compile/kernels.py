@@ -12,8 +12,8 @@ once, at compile time.
 
 Nothing outside the scheduler may import this module — compute must
 reach the kernels through realization, so every compiled step comes
-from one lowering (``tools/compile_lint.py`` enforces this as a tier-1
-check).
+from one lowering (rule ``compile-kernels`` of ``tools/lint.py`` enforces
+this as a tier-1 check).
 
 Bit-identity contract
 ---------------------

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.data.dataset import ArrayDataset
 from repro.errors import ConfigError
+from repro.obs.deprecation import warn_once
 
 #: Seed of the generator used when a shuffling loader is built without
 #: an explicit ``rng``.  A *fixed* default keeps such epochs
@@ -17,9 +17,6 @@ from repro.errors import ConfigError
 #: site that should be passing a generator.
 DEFAULT_SHUFFLE_SEED = 0
 
-#: Call sites already warned about relying on the default shuffle seed.
-_WARNED_SITES: set = set()
-
 
 def _warn_unseeded_shuffle() -> None:
     """Warn once per call site about an implicit shuffle generator."""
@@ -27,10 +24,8 @@ def _warn_unseeded_shuffle() -> None:
 
     frame = sys._getframe(2)  # caller of DataLoader.__init__
     site = f"{frame.f_code.co_filename}:{frame.f_lineno}"
-    if site in _WARNED_SITES:
-        return
-    _WARNED_SITES.add(site)
-    warnings.warn(
+    warn_once(
+        f"dataloader.unseeded_shuffle.{site}",
         f"DataLoader(shuffle=True) without rng at {site}: using a fixed "
         f"default seed ({DEFAULT_SHUFFLE_SEED}) so the epoch stream stays "
         "reproducible and resumable; pass rng=new_rng(seed) to choose the "

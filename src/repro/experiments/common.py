@@ -81,24 +81,6 @@ def _jsonable(value):
     raise TypeError(f"not JSON serializable: {type(value)}")
 
 
-def _warn_deprecated(name: str, replacement: str) -> None:
-    """Emit the deprecation warning for ``name`` exactly once per process.
-
-    Routed through the one :mod:`repro.obs.deprecation` registry so
-    pool workers (which call ``mark_worker_process`` at startup) stay
-    silent instead of each re-warning for shims the parent process
-    already warned about.
-    """
-    from repro.obs.deprecation import warn_once
-
-    warn_once(
-        f"workbench.{name}",
-        f"Workbench.{name}() is deprecated; use {replacement} — same "
-        "cache artifacts, nothing retrains",
-        stacklevel=4,
-    )
-
-
 class Workbench:
     """Builds, trains and caches the models the experiments share.
 
@@ -142,8 +124,8 @@ class Workbench:
         """This workbench's :class:`repro.registry.ModelRegistry`.
 
         The single model-acquisition entry point:
-        ``bench.registry.get(spec, fresh=True)`` replaces the
-        deprecated ``bench.model(spec)`` bit for bit.
+        ``bench.registry.get(spec, fresh=True)`` trains or loads the
+        artifact for ``spec``.
         """
         if self._registry is None:
             from repro.registry import ModelRegistry
@@ -236,7 +218,8 @@ class Workbench:
     # ------------------------------------------------------------------
     def _cache_base(self, name: str) -> str:
         # The registry layout is the single home for cache paths
-        # (tools/registry_lint.py forbids building them anywhere else).
+        # (rule registry-cache-path of tools/lint.py forbids building
+        # them anywhere else).
         from repro.registry.layout import artifact_base
 
         return artifact_base(self.config, name)
@@ -329,26 +312,13 @@ class Workbench:
     # ------------------------------------------------------------------
     # the shared artifacts: train-or-load, keyed by ModelSpec
     # ------------------------------------------------------------------
-    def model(self, spec: ModelSpec) -> Tuple[ResNet, dict]:
-        """Deprecated: use ``registry.get(spec, fresh=True)``.
-
-        The registry (:mod:`repro.registry`) is now the single model-
-        acquisition entry point; this shim forwards to it — same cache
-        artifacts, same training recursion, bit-identical models —
-        and warns once per process.
-        """
-        _warn_deprecated(
-            "model", "Workbench.registry.get(spec, fresh=True)"
-        )
-        return self.registry.get(spec, fresh=True)
-
     def _train_or_load(self, spec: ModelSpec) -> Tuple[ResNet, dict]:
         """Train-or-load the artifact named by ``spec``.
 
         The registry's cold-tier/miss backend (reach it through
-        :meth:`registry`).  Cache file names are exactly those of the
-        pre-spec keyword methods, so adopting the spec API never
-        retrains an existing artifact.
+        :meth:`registry`).  Cache file names are exactly those the
+        pre-spec keyword API wrote, so older caches load without
+        retraining.
 
         - ``fp32``: pretrained from scratch.
         - ``quant``: DoReFa-retrained from ``fp32`` with a doubled
@@ -392,100 +362,6 @@ class Workbench:
         model = self.build(spec)
         model.load_state_dict(quant.state_dict())
         return model, dict(quant_meta, eval_only=True)
-
-    # ------------------------------------------------------------------
-    # deprecated keyword shims (the pre-ModelSpec surface)
-    # ------------------------------------------------------------------
-    def build_fp32(self) -> ResNet:
-        """Deprecated: use ``build(ModelSpec('fp32'))``."""
-        _warn_deprecated("build_fp32", "Workbench.build(ModelSpec('fp32'))")
-        return self.build(ModelSpec("fp32"))
-
-    def build_quantized(self, bw: int, bx: int) -> ResNet:
-        """Deprecated: use ``build(ModelSpec('quant', bw=.., bx=..))``."""
-        _warn_deprecated(
-            "build_quantized", "Workbench.build(ModelSpec('quant', ...))"
-        )
-        return self.build(ModelSpec("quant", bw=bw, bx=bx))
-
-    def build_ams(
-        self,
-        enob: float,
-        nmult: Optional[int] = None,
-        bw: int = 8,
-        bx: int = 8,
-        inject_last_in_training: bool = False,
-        with_probes: bool = False,
-        noise_tag: str = "",
-    ) -> ResNet:
-        """Deprecated: use ``build(ModelSpec('ams', ...))``."""
-        _warn_deprecated("build_ams", "Workbench.build(ModelSpec('ams', ...))")
-        spec = ModelSpec(
-            "ams",
-            enob=enob,
-            nmult=nmult,
-            bw=bw,
-            bx=bx,
-            inject_last_in_training=inject_last_in_training,
-        )
-        return self.build(spec, with_probes=with_probes, noise_tag=noise_tag)
-
-    def fp32_model(self) -> Tuple[ResNet, dict]:
-        """Deprecated: use ``registry.get(ModelSpec('fp32'))``."""
-        _warn_deprecated(
-            "fp32_model", "Workbench.registry.get(ModelSpec('fp32'))"
-        )
-        return self.registry.get(ModelSpec("fp32"), fresh=True)
-
-    def quantized_model(self, bw: int, bx: int) -> Tuple[ResNet, dict]:
-        """Deprecated: use ``registry.get(ModelSpec('quant', ...))``."""
-        _warn_deprecated(
-            "quantized_model",
-            "Workbench.registry.get(ModelSpec('quant', ...))",
-        )
-        return self.registry.get(
-            ModelSpec("quant", bw=bw, bx=bx), fresh=True
-        )
-
-    def ams_retrained(
-        self,
-        enob: float,
-        nmult: Optional[int] = None,
-        bw: int = 8,
-        bx: int = 8,
-        freeze: Sequence[str] = (),
-        inject_last_in_training: bool = False,
-    ) -> Tuple[ResNet, dict]:
-        """Deprecated: use ``registry.get(ModelSpec('ams', ...))``."""
-        _warn_deprecated(
-            "ams_retrained", "Workbench.registry.get(ModelSpec('ams', ...))"
-        )
-        return self.registry.get(
-            ModelSpec(
-                "ams",
-                enob=enob,
-                nmult=nmult,
-                bw=bw,
-                bx=bx,
-                freeze=tuple(freeze),
-                inject_last_in_training=inject_last_in_training,
-            ),
-            fresh=True,
-        )
-
-    def ams_eval_only(
-        self, enob: float, nmult: Optional[int] = None, bw: int = 8, bx: int = 8
-    ) -> ResNet:
-        """Deprecated: use ``registry.get(ModelSpec('ams_eval', ...))``."""
-        _warn_deprecated(
-            "ams_eval_only",
-            "Workbench.registry.get(ModelSpec('ams_eval', ...))",
-        )
-        model, _ = self.registry.get(
-            ModelSpec("ams_eval", enob=enob, nmult=nmult, bw=bw, bx=bx),
-            fresh=True,
-        )
-        return model
 
     # ------------------------------------------------------------------
     # probed rebuilds (Fig. 6): same weights, instrumented layers

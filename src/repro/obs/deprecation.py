@@ -1,19 +1,13 @@
-"""Warn-once deprecation helper shared by the deprecation shims.
+"""The one per-process warn-once registry.
 
-The single per-process registry behind every deprecation shim (the
-``Workbench.model``/keyword shims, the legacy injector constructor):
-the first use of a deprecated entry point emits one
-:class:`DeprecationWarning` per process, later uses are silent.  Tests
-reset the registry via :func:`reset` to assert the exactly-once
-contract.
-
-Pool workers (sweep fan-out, serving replicas) inherit none of the
-parent's module state, so without care every worker re-warns for a shim
-the parent already warned about — N workers, N copies of the same
-warning.  Worker entry points call :func:`mark_worker_process` right
-after startup; a marked process suppresses deprecation warnings
-entirely, on the grounds that the parent process owns the user-facing
-warning.
+Some conditions deserve exactly one warning per process however often
+they recur: a compiled model falling back to the interpreter (one
+``RuntimeWarning`` per reason, :mod:`repro.compile`) and a shuffling
+``DataLoader`` built without a generator (one ``UserWarning`` per call
+site, :mod:`repro.data.dataloader`).  Both warn through
+:func:`warn_once`, keyed by what makes the warning distinct.  Every
+process keeps its own registry, so a pool worker warns on its own first
+occurrence.  Tests re-arm keys via :func:`reset`.
 """
 
 from __future__ import annotations
@@ -23,38 +17,21 @@ import warnings
 #: Keys whose warning already fired this process.
 _WARNED: set = set()
 
-#: True in pool-worker processes, where warnings are suppressed.
-_IN_WORKER = False
 
+def warn_once(
+    key: str, message: str, category: type, stacklevel: int = 2
+) -> bool:
+    """Emit ``message`` as a ``category`` warning once per ``key``.
 
-def warn_once(key: str, message: str, stacklevel: int = 3) -> bool:
-    """Emit ``message`` as a DeprecationWarning once per ``key``.
-
-    Returns True when the warning fired (first use), False on repeats
-    and always in worker processes (see :func:`mark_worker_process`).
+    ``stacklevel`` means what it would for :func:`warnings.warn` called
+    in place of this function.  Returns True when the warning fired
+    (first use), False on repeats.
     """
-    if _IN_WORKER or key in _WARNED:
+    if key in _WARNED:
         return False
     _WARNED.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=stacklevel)
+    warnings.warn(message, category, stacklevel=stacklevel + 1)
     return True
-
-
-def mark_worker_process(active: bool = True) -> None:
-    """Flag this process as a pool worker (suppresses all warnings).
-
-    Called by worker initializers (:func:`repro.parallel.sweep.
-    _init_worker`, the serving cluster's replica entry point) so each
-    fanned-out process does not repeat warnings the parent already
-    emitted.  ``active=False`` unmarks — for tests.
-    """
-    global _IN_WORKER
-    _IN_WORKER = active
-
-
-def in_worker_process() -> bool:
-    """True when this process was marked via :func:`mark_worker_process`."""
-    return _IN_WORKER
 
 
 def reset(key: str = None) -> None:

@@ -74,11 +74,7 @@ DEFAULT_BACKOFF_S = 0.5
 def _init_worker(config) -> None:
     global _WORKER_BENCH
     from repro.experiments.common import Workbench
-    from repro.obs.deprecation import mark_worker_process
 
-    # The parent process owns user-facing deprecation warnings; a pool
-    # worker re-warning N times over is pure noise.
-    mark_worker_process()
     _WORKER_BENCH = Workbench(config)
 
 

@@ -6,9 +6,7 @@ multi-process cluster, the CLI — resolves a
 :class:`~repro.serve.spec.ModelSpec` through a
 :class:`ModelRegistry` and gets ``(model, metadata)`` back from
 whichever tier answers fastest (**warm** in-memory, **cold** on-disk,
-or a fresh training run on a true miss).  ``Workbench.model(spec)``
-still works but is a warn-once deprecation shim over
-``workbench.registry.get(spec, fresh=True)``.
+or a fresh training run on a true miss).
 
 Typical use::
 

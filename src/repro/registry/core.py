@@ -78,8 +78,8 @@ class ModelRegistry:
     Parameters
     ----------
     workbench:
-        Anything with ``.config``, ``.build(spec)`` and a
-        train-or-load entry point — normally a
+        Anything with ``.config``, ``.build(spec)`` and
+        ``._train_or_load(spec)`` — normally a
         :class:`repro.experiments.common.Workbench`.
     warm_max_entries:
         Global LRU capacity of the warm tier (across tenants).
@@ -167,7 +167,7 @@ class ModelRegistry:
         if fresh:
             tier = self._present_tier(spec)
             self._count_lookup(tier, tenant)
-            model, meta = self._train_or_load(spec)
+            model, meta = self.workbench._train_or_load(spec)
             return model, meta
         entry = self.entry(spec, tenant=tenant)
         return entry.model, entry.meta
@@ -196,7 +196,7 @@ class ModelRegistry:
         # is write-then-rename — and the loser's build is discarded.
         tier = self._present_tier(spec)
         self._count_lookup(tier, tenant)
-        model, meta = self._train_or_load(spec)
+        model, meta = self.workbench._train_or_load(spec)
         if self.compile_models:
             from repro.compile import maybe_compiled
 
@@ -405,15 +405,6 @@ class ModelRegistry:
     ) -> Tuple[str, str]:
         spec = spec.resolved(self.workbench.config)
         return (tenant or self.default_tenant, spec.token())
-
-    def _train_or_load(self, spec: ModelSpec) -> Tuple[object, dict]:
-        """The workbench's train-or-load path (legacy-exact)."""
-        loader = getattr(self.workbench, "_train_or_load", None)
-        if loader is None:
-            # Duck-typed workbench (tests, adapters): its public model()
-            # is the train-or-load path.
-            return self.workbench.model(spec)
-        return loader(spec)
 
     def _present_tier(self, spec: ModelSpec) -> str:
         """``"cold"`` when the artifact is on disk, else ``"miss"``."""

@@ -9,11 +9,12 @@ it while training is in flight.  ``<prefix>`` is
 content address the registry is keyed by.
 
 This module is the **single home** for cache-directory path
-construction: ``tools/registry_lint.py`` (tier-1) rejects any other
-module under ``repro`` that touches ``config.cache_dir`` or spells the
-default cache path, so tier bookkeeping can trust that every artifact
-on disk went through these helpers — and through the crash-safe
-:func:`repro.utils.atomic_write` protocol they build on.
+construction: rule ``registry-cache-path`` of ``tools/lint.py``
+(tier-1) rejects any other module under ``repro`` that touches
+``config.cache_dir`` or spells the default cache path, so tier
+bookkeeping can trust that every artifact on disk went through these
+helpers — and through the crash-safe :func:`repro.utils.atomic_write`
+protocol they build on.
 
 Crashed writers leave pid-unique temporaries behind
 (``<file>.tmp<pid>``).  :func:`scan_artifacts` classifies those as
@@ -92,8 +93,8 @@ def scratch_cache_dir(config, label: str) -> str:
     because :meth:`~repro.experiments.config.ExperimentConfig.
     cache_key_prefix` deliberately excludes epoch counts.  Keeping the
     derivation here (the registry's single home for cache paths) is
-    what lets ``tools/registry_lint.py`` ban ad-hoc ``.cache_dir``
-    arithmetic everywhere else.
+    what lets rule ``registry-cache-path`` of ``tools/lint.py`` ban
+    ad-hoc ``.cache_dir`` arithmetic everywhere else.
     """
     if not label or os.sep in label or label in (".", ".."):
         raise ValueError(f"invalid scratch cache label {label!r}")

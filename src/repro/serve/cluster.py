@@ -111,12 +111,10 @@ def _worker_main(worker_id: int, conn, init: dict) -> None:
     from repro.ckpt.signals import clear_interrupt, install_handlers
     from repro.ckpt.signals import interrupt_requested
     from repro.experiments.common import Workbench
-    from repro.obs.deprecation import mark_worker_process
     from repro.serve.executor import forward_with_request_noise
 
     clear_interrupt()
     install_handlers()
-    mark_worker_process()
     bench = Workbench(init["config"])
     seed = init["seed"]
     repro_compile.set_enabled(init["compile"])

@@ -38,9 +38,10 @@ code that admits, sheds, degrades or expires a request:
   tier.
 
 This module is **strictly non-blocking**: every wait is an ``await``.
-``tools/serve_lint.py`` (tier-1) rejects any blocking call — sleeps,
-synchronous file or socket I/O, ``Future.result`` — appearing here, so
-the event loop can never stall behind a stray synchronous call.
+Rule ``serve-blocking`` of ``tools/lint.py`` (tier-1) rejects any
+blocking call — sleeps, synchronous file or socket I/O,
+``Future.result`` — appearing here, so the event loop can never stall
+behind a stray synchronous call.
 """
 
 from __future__ import annotations

@@ -24,9 +24,9 @@ def entropy_rng() -> np.random.Generator:
     """A generator seeded from OS entropy (non-reproducible paths only).
 
     The single sanctioned way to get an unseeded stream in seeded
-    subsystems — ``tools/errmodel_lint.py`` forbids bare ``np.random``
-    calls under ``repro/ams/``, so explicitly-unseeded defaults route
-    through here and stay greppable.
+    subsystems — rule ``errmodel-rng`` of ``tools/lint.py`` forbids bare
+    ``np.random`` calls under ``repro/ams/``, so explicitly-unseeded
+    defaults route through here and stay greppable.
     """
     return np.random.default_rng()
 

@@ -15,6 +15,7 @@ def injector(enob=8.0, nmult=8, ntot=64, policy=None, seed=0):
         ntot=ntot,
         policy=policy or InjectionPolicy(),
         rng=np.random.default_rng(seed),
+        model="lumped_gaussian",
     )
 
 

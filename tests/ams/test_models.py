@@ -1,7 +1,6 @@
 """Tests for the pluggable error-model interface, registry and zoo."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from repro.ams.partitioning import PartitionScheme, partitioned_error_std
 from repro.ams.vmac import VMACConfig, total_error_std, vmac_lsb
 from repro.ams.zoo import TileCorrelated
 from repro.errors import ConfigError
-from repro.obs import deprecation
 from repro.tensor.pool import default_pool
 from repro.utils.rng import point_seed_sequence
 
@@ -311,17 +309,6 @@ class TestInjectorHost:
 
     def test_repr_names_model(self):
         assert "model='per_vmac'" in repr(injector("per_vmac"))
-
-
-class TestDeprecationShims:
-    def test_legacy_constructor_warns_once(self):
-        deprecation.reset("repro.ams.AMSErrorInjector.legacy-init")
-        with pytest.warns(DeprecationWarning, match="make_injector"):
-            inj = AMSErrorInjector(CONFIG, NTOT, rng=np.random.default_rng(0))
-        assert inj.model.name == "lumped_gaussian"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            AMSErrorInjector(CONFIG, NTOT, rng=np.random.default_rng(0))
 
 
 class TestNoiseStreams:

@@ -7,6 +7,7 @@ import numpy as np
 
 import repro.compile as rc
 from repro.compile import disabled, maybe_compiled, model_fingerprint
+from repro.obs import deprecation
 from repro.obs.metrics import default_registry
 from repro.optim.sgd import SGD
 from repro.quant.qmodules import QuantConv2d
@@ -185,7 +186,7 @@ class TestInterpreterFallbackInstrumentation:
         class NotAModule:
             pass
 
-        rc.reset_fallback_warnings()
+        deprecation.reset("compile.interpreter_fallback.not_a_module")
         counter = default_registry().counter(
             "compile.interpreter_fallback", reason="not_a_module"
         )
@@ -206,7 +207,7 @@ class TestInterpreterFallbackInstrumentation:
 
         from repro.nn.activation import ReLU
 
-        rc.reset_fallback_warnings()
+        deprecation.reset("compile.interpreter_fallback.compile_error")
         model = ReLU()  # a Module with no lowering
         counter = default_registry().counter(
             "compile.interpreter_fallback", reason="compile_error"

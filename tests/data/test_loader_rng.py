@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.data import ArrayDataset, DataLoader
-from repro.data.dataloader import DEFAULT_SHUFFLE_SEED, _WARNED_SITES
+from repro.data.dataloader import DEFAULT_SHUFFLE_SEED
+from repro.obs import deprecation
 
 
 def make_ds(n=12):
@@ -23,9 +24,9 @@ def _labels(loader):
 
 @pytest.fixture(autouse=True)
 def _fresh_warning_sites():
-    _WARNED_SITES.clear()
+    deprecation.reset()
     yield
-    _WARNED_SITES.clear()
+    deprecation.reset()
 
 
 class TestDefaultRng:

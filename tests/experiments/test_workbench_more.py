@@ -3,14 +3,17 @@
 import numpy as np
 
 from repro.ams import AMSErrorInjector
+from repro.serve import ModelSpec
+
+AMS = ModelSpec("ams", enob=4.0)
 
 
 class TestNoiseTagging:
     def test_same_tag_same_noise_stream(self, micro_bench):
         """Rebuilding a tagged model reproduces its noise exactly, so
         repeated experiment runs report identical numbers."""
-        m1 = micro_bench.build_ams(4.0, noise_tag="t")
-        m2 = micro_bench.build_ams(4.0, noise_tag="t")
+        m1 = micro_bench.build(AMS, noise_tag="t")
+        m2 = micro_bench.build(AMS, noise_tag="t")
         i1 = next(m for m in m1.modules() if isinstance(m, AMSErrorInjector))
         i2 = next(m for m in m2.modules() if isinstance(m, AMSErrorInjector))
         from repro.tensor.tensor import Tensor
@@ -21,8 +24,8 @@ class TestNoiseTagging:
         np.testing.assert_array_equal(i1(x).data, i2(x).data)
 
     def test_different_tags_different_noise(self, micro_bench):
-        m1 = micro_bench.build_ams(4.0, noise_tag="a")
-        m2 = micro_bench.build_ams(4.0, noise_tag="b")
+        m1 = micro_bench.build(AMS, noise_tag="a")
+        m2 = micro_bench.build(AMS, noise_tag="b")
         i1 = next(m for m in m1.modules() if isinstance(m, AMSErrorInjector))
         i2 = next(m for m in m2.modules() if isinstance(m, AMSErrorInjector))
         from repro.tensor.tensor import Tensor
@@ -35,7 +38,9 @@ class TestNoiseTagging:
 
 class TestInjectorWiring:
     def test_eval_only_model_injects_in_eval(self, micro_bench):
-        model = micro_bench.ams_eval_only(3.0)
+        model, _ = micro_bench.registry.get(
+            ModelSpec("ams_eval", enob=3.0), fresh=True
+        )
         model.eval()
         injectors = [
             m for m in model.modules() if isinstance(m, AMSErrorInjector)
@@ -43,7 +48,7 @@ class TestInjectorWiring:
         assert injectors and all(i.active for i in injectors)
 
     def test_retrained_model_last_layer_training_policy(self, micro_bench):
-        model, _ = micro_bench.ams_retrained(4.0)
+        model, _ = micro_bench.registry.get(AMS, fresh=True)
         fc_injector = model.fc[-1]
         assert isinstance(fc_injector, AMSErrorInjector)
         assert not fc_injector.policy.in_training

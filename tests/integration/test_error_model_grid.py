@@ -15,7 +15,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import repro.compile as rc
 from repro.ams.models import list_models
 from repro.ckpt import capture_rng_states, restore_rng_states
 from repro.compile import compile_model, maybe_compiled
@@ -23,6 +22,7 @@ from repro.experiments.common import Workbench
 from repro.experiments.config import make_config
 from repro.models import AMSFactory
 from repro.models.simple import SimpleCNN
+from repro.obs import deprecation
 from repro.obs.metrics import default_registry
 from repro.serve import InProcessExecutor, ModelSpec, ServeCluster
 from repro.tensor.tensor import Tensor, no_grad
@@ -256,7 +256,7 @@ class TestUnfusableFallback:
         model = _build(grid_bench, "lumped_gaussian", {})
         for injector in ams_injectors(model):
             injector.model = self.Unfusable()
-        rc.reset_fallback_warnings()
+        deprecation.reset("compile.interpreter_fallback.error_model")
         counter = default_registry().counter(
             "compile.interpreter_fallback", reason="error_model"
         )

@@ -1,8 +1,7 @@
 """Shared hygiene for the observability tests.
 
-The journal keeps one process-wide current run and the deprecation
-shims keep a process-wide warned set; every test here must leave both
-exactly as it found them so test order never matters.
+The journal keeps one process-wide current run; every test here must
+leave it exactly as it found it so test order never matters.
 """
 
 from __future__ import annotations

@@ -63,21 +63,3 @@ def test_registry_matches_legacy_train_or_load(
         assert meta.keys() == legacy_meta.keys()
         assert meta.get("best_accuracy") == legacy_meta.get("best_accuracy")
 
-
-def test_deprecated_workbench_model_matches_registry(registry_bench):
-    """The warn-once shim serves the same artifact, bit for bit."""
-    spec = ModelSpec("quant", bw=8, bx=8)
-    with pytest.deprecated_call():
-        from repro.obs import deprecation
-
-        deprecation.reset("workbench.model")
-        shim_model, shim_meta = registry_bench.model(spec)
-    registry_model, registry_meta = registry_bench.registry.get(
-        spec, fresh=True
-    )
-    for key in shim_model.state_dict():
-        np.testing.assert_array_equal(
-            shim_model.state_dict()[key],
-            registry_model.state_dict()[key],
-        )
-    assert shim_meta["best_accuracy"] == registry_meta["best_accuracy"]

@@ -33,14 +33,14 @@ class FakeModel:
 
 
 class FakeBench:
-    """Duck-typed workbench: ``model()`` is its train-or-load path."""
+    """Duck-typed workbench with a fake train-or-load path."""
 
     def __init__(self, config, nbytes: int = 64):
         self.config = config
         self.nbytes = nbytes
         self.builds = []
 
-    def model(self, spec):
+    def _train_or_load(self, spec):
         spec = spec.resolved(self.config)
         self.builds.append(spec.token())
         return FakeModel(spec.token(), self.nbytes), {"source": "fake"}
@@ -261,9 +261,9 @@ class TestWarmAsync:
         release = threading.Event()
 
         class SlowBench(FakeBench):
-            def model(self, spec):
+            def _train_or_load(self, spec):
                 release.wait(timeout=10.0)
-                return super().model(spec)
+                return super()._train_or_load(spec)
 
         registry = ModelRegistry(
             SlowBench(bench.config), metrics=MetricRegistry()

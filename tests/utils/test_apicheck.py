@@ -1,13 +1,7 @@
-"""Tests for the public-API snapshot checker and the deprecation shims."""
+"""Tests for the public-API snapshot checker."""
 
 import importlib.util
 import os
-import warnings
-
-import pytest
-
-from repro.experiments import common as common_mod
-from repro.experiments.config import make_config
 
 _SPEC = importlib.util.spec_from_file_location(
     "apicheck",
@@ -79,53 +73,3 @@ class TestMain:
         assert apicheck.main(["--snapshot", missing]) == 1
         assert "no snapshot" in capsys.readouterr().out
 
-
-class TestDeprecationShims:
-    @pytest.fixture()
-    def micro_bench(self, tmp_path):
-        config = make_config(
-            profile="quick",
-            seed=11,
-            num_classes=3,
-            image_size=8,
-            train_per_class=12,
-            val_per_class=6,
-            pretrain_epochs=1,
-            retrain_epochs=1,
-            batch_size=16,
-            patience=1,
-            eval_passes=1,
-            cache_dir=str(tmp_path / "cache"),
-            results_dir=str(tmp_path / "results"),
-        )
-        return common_mod.Workbench(config)
-
-    def test_legacy_methods_warn_exactly_once(self, micro_bench):
-        from repro.obs import deprecation
-
-        deprecation.reset("workbench.build_fp32")
-        deprecation.reset("workbench.build_quantized")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            micro_bench.build_fp32()
-            micro_bench.build_fp32()
-            micro_bench.build_quantized(8, 8)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        messages = [str(w.message) for w in deprecations]
-        assert sum("build_fp32" in m for m in messages) == 1
-        assert sum("build_quantized" in m for m in messages) == 1
-
-    def test_shim_and_spec_api_share_artifacts(self, micro_bench):
-        """The shim trains; the registry API must load, not retrain."""
-        from repro.serve import ModelSpec
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy_model, legacy_meta = micro_bench.fp32_model()
-        spec_model, spec_meta = micro_bench.registry.get(
-            ModelSpec("fp32"), fresh=True
-        )
-        assert spec_meta["best_accuracy"] == legacy_meta["best_accuracy"]
-        assert spec_meta["name"] == "fp32"
