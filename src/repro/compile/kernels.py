@@ -23,8 +23,11 @@ IEEE arithmetic is identical in and out of place):
 
 - convolution unfolds patches with the interpreter's own
   :meth:`~repro.tensor.im2col.Im2colPlan.gather` and keeps its ``cols
-  @ w_mat.T`` operand layouts, so the same BLAS sgemm runs on the same
-  values;
+  @ w_mat.T`` operand layouts, one image block at a time
+  (:meth:`~repro.tensor.im2col.Im2colPlan.blocks`): the same sgemm per
+  row block, above a measured row floor
+  (:data:`~repro.tensor.im2col.MIN_BLOCK_ROWS`) at which sgemm's rows
+  equal the whole-batch product's;
 - batch norm is NOT algebraically folded into the weights (that would
   change rounding) — the eval-branch op chain ``(x - mean) / std *
   gamma + beta`` is replayed with only ``std = sqrt(var + eps)``
@@ -32,7 +35,10 @@ IEEE arithmetic is identical in and out of place):
 - ReLU uses the interpreter's mask-multiply (``x * (x > 0)``), not
   ``np.maximum``, preserving ``-0.0`` outputs for negative inputs;
 - global average pooling is ``sum * float32(1/count)``, matching
-  ``Tensor.mean``, not ``np.mean``;
+  ``Tensor.mean``, not ``np.mean``, and sums an array laid out as the
+  interpreter's (NHWC-strided after a noiseless conv, see
+  :class:`~repro.compile.runtime._Ctx`), since numpy's summation order
+  follows the strides;
 - AMS noise is drawn through the injector's own
   :meth:`~repro.ams.models.AMSErrorInjector.sample_noise`, reading
   its live ``rng`` / ``row_rngs`` state, so per-request noise streams
@@ -205,14 +211,22 @@ class FusedConvStep:
             )
             self._plan_src = (c, h, w)
         plan = self._plan
-        token = _profiler.op_start()
-        cols = plan.gather(x, pool)
-        _profiler.op_end(token, "compiled.im2col")
-        ctx.release(x)
         c_out = self.w_mat.shape[0]
-        out_mat = pool.get((cols.shape[0], c_out), cols.dtype)
-        np.matmul(cols, self.w_mat.T, out=out_mat)
-        pool.release(cols)
+        positions = plan.out_h * plan.out_w
+        out_mat = pool.get((n * positions, c_out), x.dtype)
+        # One image block at a time: only one block's patch columns are
+        # ever live, and each block's GEMM writes its rows of out_mat.
+        for start, stop in plan.blocks(n, x.dtype.itemsize):
+            token = _profiler.op_start()
+            cols = plan.gather(x[start:stop], pool)
+            _profiler.op_end(token, "compiled.im2col")
+            np.matmul(
+                cols,
+                self.w_mat.T,
+                out=out_mat[start * positions : stop * positions],
+            )
+            pool.release(cols)
+        ctx.release(x)
         if self.bias is not None:
             out_mat += self.bias.data
         # The interpreter's NCHW result is exactly this transpose view.
@@ -223,7 +237,8 @@ class FusedConvStep:
             probe.observe(view)
         dst = pool.get(view.shape, view.dtype)
         inj = self.injector
-        if inj is not None and inj.active and inj.error_std != 0.0:
+        noisy = inj is not None and inj.active and inj.error_std != 0.0
+        if noisy:
             noise = inj.sample_noise(view.shape, view.dtype, pool, pre=view)
             np.add(view, noise, out=dst)
             pool.release(noise)
@@ -237,7 +252,9 @@ class FusedConvStep:
         pool.release(out_mat)
         if self.act is not None:
             self.act.apply(dst, pool)
-        return ctx.own(dst)
+        # The interpreter keeps the conv's NHWC view through BN and the
+        # activation; adding the C-ordered noise makes it C-ordered.
+        return ctx.own(dst, nhwc=not noisy)
 
 
 class FusedLinearStep:
@@ -276,7 +293,16 @@ class GlobalPoolStep:
     def run(self, x: np.ndarray, ctx) -> np.ndarray:
         n, c, h, w = x.shape
         out = ctx.pool.get((n, c), x.dtype)
-        np.sum(x, axis=(2, 3), out=out)
+        if ctx.nhwc(x):
+            # numpy sums an NHWC-strided array in another order than a
+            # contiguous one, so sum a copy laid out as the interpreter's.
+            buf = ctx.pool.get((n, h, w, c), x.dtype)
+            src = buf.transpose(0, 3, 1, 2)
+            np.copyto(src, x)
+            np.sum(src, axis=(2, 3), out=out)
+            ctx.pool.release(buf)
+        else:
+            np.sum(x, axis=(2, 3), out=out)
         out *= np.float32(1.0 / (h * w))
         ctx.release(x)
         return ctx.own(out)

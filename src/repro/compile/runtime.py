@@ -232,18 +232,41 @@ class _Ctx:
     maps each such array to the whole backing buffer the pool can
     accept, keeping a reference so ``id`` keys can never be recycled
     while an entry is live.
+
+    Each entry also notes whether the interpreter holds that activation
+    NHWC-strided.  Compiled buffers are always NCHW, but numpy sums an
+    NHWC-strided array in another order, so the one reduction over an
+    activation (global average pooling) must know: a conv's output is
+    an NHWC view, elementwise ops keep their operand's layout, and an
+    operation on two differently laid-out operands is C-ordered.
     """
 
     __slots__ = ("pool", "_owned")
 
     def __init__(self, pool: BufferPool):
         self.pool = pool
-        self._owned: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._owned: Dict[int, Tuple[np.ndarray, np.ndarray, bool]] = {}
 
-    def own(self, arr: np.ndarray, backing: Optional[np.ndarray] = None) -> np.ndarray:
+    def own(
+        self,
+        arr: np.ndarray,
+        backing: Optional[np.ndarray] = None,
+        nhwc: bool = False,
+    ) -> np.ndarray:
         """Register ``arr`` (backed by ``backing``, default itself)."""
-        self._owned[id(arr)] = (arr, arr if backing is None else backing)
+        self._owned[id(arr)] = (arr, arr if backing is None else backing, nhwc)
         return arr
+
+    def nhwc(self, arr: np.ndarray) -> bool:
+        """Whether the interpreter holds ``arr``'s value NHWC-strided."""
+        entry = self._owned.get(id(arr))
+        return entry is not None and entry[2]
+
+    def set_nhwc(self, arr: np.ndarray, nhwc: bool) -> None:
+        """Note the interpreter's layout of an owned ``arr``."""
+        entry = self._owned.get(id(arr))
+        if entry is not None:
+            self._owned[id(arr)] = (entry[0], entry[1], nhwc)
 
     def disown(self, arr: np.ndarray) -> Optional[np.ndarray]:
         """Forget ``arr``; returns its backing buffer if it was owned."""
@@ -290,13 +313,17 @@ class ResidualStep:
         self.act = act
 
     def run(self, x: np.ndarray, ctx: _Ctx) -> np.ndarray:
+        nhwc = ctx.nhwc(x)
         backing = ctx.disown(x)
         out = run_steps(self.main, x, ctx)
         if self.downsample is not None:
             shortcut = run_steps(self.downsample, x, ctx)
+            nhwc = ctx.nhwc(shortcut)
         else:
             shortcut = x
         out += shortcut
+        # The interpreter's ``out + shortcut`` is NHWC only if both are.
+        ctx.set_nhwc(out, nhwc and ctx.nhwc(out))
         if shortcut is not x:
             ctx.release(shortcut)
         if backing is not None:

@@ -149,6 +149,12 @@ class Module:
             object.__setattr__(
                 self, "_generation", getattr(self, "_generation", 0) + 1
             )
+            if getattr(self, "_compiled_cache", None) is not None:
+                # Drop the stale executor now, so its tape arena is
+                # freed before training allocates.  No fingerprint is
+                # None, so the marker never matches and the next
+                # compile still counts as a recompile.
+                object.__setattr__(self, "_compiled_cache", (None, None, None))
         return self
 
     def eval(self) -> "Module":

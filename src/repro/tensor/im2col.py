@@ -9,7 +9,10 @@ of ``im2col`` and is used in the backward pass.
 table per convolution geometry — with one unbuffered ``np.take``
 straight into the (pooled) output buffer.  The compiled kernels gather
 through the same plans, so every convolution path unfolds patches with
-the same copy.
+the same copy.  :meth:`Im2colPlan.blocks` splits a batch into image
+blocks whose patch columns fit about one per-core L2, so the compiled
+convolution can gather and multiply one block at a time instead of
+holding the whole batch's columns.
 
 Both transforms draw their workspaces (padded input, patch columns,
 scatter-add scratch) from the process-global :class:`~repro.tensor.pool.
@@ -20,13 +23,25 @@ inside a training loop or an evaluation sweep — are allocation-free.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ShapeError
 from repro.tensor.pool import BufferPool, default_pool
 from repro.utils import profiler as _profiler
+
+
+#: Target bytes of one block's patch columns: about one per-core L2.
+BLOCK_BYTES = 4 << 20
+
+#: Fewest GEMM rows in a block of a batch that has more.  sgemm is not
+#: row-invariant for small row counts (OpenBLAS multiplies a few rows
+#: with other kernels, whose rounding differs), so a block's product
+#: equals the same rows of the whole-batch product only well above
+#: that; ``tests/tensor/test_sgemm_rows.py`` pins it for every conv
+#: shape of ``resnet_small``.
+MIN_BLOCK_ROWS = 1024
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -133,6 +148,29 @@ class Im2colPlan:
             owned = None
         src = x if owned is None else owned
         return src.reshape(n, c * src.shape[2] * src.shape[3]), owned
+
+    def blocks(self, n: int, itemsize: int) -> List[Tuple[int, int]]:
+        """Image ranges ``(start, stop)`` that tile a batch of ``n``.
+
+        Each block's patch columns take at most about
+        :data:`BLOCK_BYTES` (one image at least).  The blocks are
+        balanced -- their sizes differ by at most one image, so none is
+        under half the largest -- and none has fewer than
+        :data:`MIN_BLOCK_ROWS` GEMM rows unless the whole batch does.
+        A batch that fits in one block is the single range ``(0, n)``.
+        """
+        positions = self.out_h * self.out_w
+        most = max(1, BLOCK_BYTES // (positions * self.patch_len * itemsize))
+        fewest = -(-MIN_BLOCK_ROWS // positions)
+        count = max(1, min(-(-n // most), n // fewest))
+        size, extra = divmod(n, count)
+        bounds = []
+        start = 0
+        for i in range(count):
+            stop = start + size + (i < extra)
+            bounds.append((start, stop))
+            start = stop
+        return bounds
 
     def gather(self, x: np.ndarray, pool: BufferPool) -> np.ndarray:
         """Unfold an NCHW batch into patch columns: the one im2col copy.

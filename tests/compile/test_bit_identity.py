@@ -11,7 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.ams import VMACConfig
+from repro.ams.models import AMSErrorInjector, InjectionPolicy
 from repro.compile import compile_model, disabled, maybe_compiled
+from repro.models import AMSFactory, resnet_small
+from repro.quant import QuantConfig
 from repro.serve import InProcessExecutor, ModelSpec, ServeCluster
 from repro.tensor.tensor import Tensor, no_grad
 from repro.train.evaluate import predict_logits, reseed_noise
@@ -78,6 +82,45 @@ class TestBitIdentity:
         expected = _interpreted(model, batch)
         assert maybe_compiled(model) is not None
         assert np.array_equal(expected, predict_logits(model, batch))
+
+
+class TestPoolingLayout:
+    """Global average pooling sums the interpreter's memory layout.
+
+    The interpreter's conv output is an NHWC-strided view, BN and the
+    activation keep that layout, and adding noise (C-ordered) or adding
+    two differently laid-out branches gives a C-ordered array.  numpy
+    sums a 4x4 map in a different order for each layout, so at 16x16
+    inputs the compiled pooling must follow the layout through the
+    last block, whichever of its injectors are quiet.
+    """
+
+    @pytest.mark.parametrize(
+        "quiet",
+        [(), ("conv2",), ("downsample",), ("conv2", "downsample")],
+        ids=lambda q: "+".join(q) or "none",
+    )
+    def test_last_block_layouts_match(self, quiet):
+        model = resnet_small(
+            AMSFactory(QuantConfig(8, 8), VMACConfig(enob=5.5, nmult=8), seed=0),
+            num_classes=20,
+        )
+        model.eval()
+        for name, module in model.named_modules():
+            if isinstance(module, AMSErrorInjector) and name.startswith(
+                tuple(f"blocks.2.{q}" for q in quiet)
+            ):
+                module.policy = InjectionPolicy(in_eval=False)
+        images = (
+            np.random.default_rng(0)
+            .standard_normal((8, 3, 16, 16))
+            .astype(np.float32)
+        )
+        reseed_noise(model, 5, 0)
+        expected = _interpreted(model, images)
+        compiled = compile_model(model)
+        reseed_noise(model, 5, 0)
+        assert np.array_equal(expected, compiled.predict(images))
 
 
 class TestServeDeterminism:

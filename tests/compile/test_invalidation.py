@@ -3,6 +3,9 @@ and the counted interpreter fallback."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 
 import repro.compile as rc
@@ -87,6 +90,31 @@ class TestCompiledCacheInvalidation:
         before = model_fingerprint(model)
         model.train()
         assert model_fingerprint(model) != before
+
+    def test_train_frees_the_stale_executor(self, compile_bench, batch):
+        spec = ModelSpec("quant", bw=8, bx=8).resolved(compile_bench.config)
+        model = compile_bench.build(spec)
+        model.eval()
+        compiled = maybe_compiled(model)
+        compiled.predict(batch)
+        arena = compiled.arena_bytes
+        assert arena > 0
+        stale = weakref.ref(compiled)
+        del compiled
+        registry = default_registry()
+        recompiled = registry.counter("compile.recompiled")
+        recompiles = recompiled.value
+        gc.collect()
+        tape_bytes = registry.gauge("compile.tape_bytes").value
+
+        model.train()
+        # Freed by reference counting alone, before any collection.
+        assert stale() is None
+        assert registry.gauge("compile.tape_bytes").value <= tape_bytes - arena
+
+        model.eval()
+        assert maybe_compiled(model) is not None
+        assert recompiled.value == recompiles + 1
 
     def test_load_state_dict_invalidates(self, compile_bench):
         spec = ModelSpec("fp32").resolved(compile_bench.config)

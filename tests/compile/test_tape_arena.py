@@ -6,7 +6,9 @@ so that only buffers alive at the same time take distinct bytes.  These
 tests bound the arena against the recorded peak of live bytes, hold
 every run bit-identical to the interpreter across recording, replay,
 eviction and arena growth, and check that the ``compile.tape_bytes``
-gauge tracks the live arenas.
+gauge tracks the live arenas.  At the ``offline`` workload's shape the
+convolutions gather and multiply in image blocks, so the arena stops
+growing with the patch columns of the whole batch.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import gc
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,10 +26,12 @@ from hypothesis import strategies as st
 from repro.compile import compile_model, disabled
 from repro.compile.runtime import CompiledModel
 from repro.experiments import cli as cli_mod
+from repro.experiments.common import Workbench
 from repro.obs.journal import RunJournal
 from repro.obs.metrics import default_registry
 from repro.serve import ModelSpec
 from repro.serve.executor import forward_with_request_noise
+from repro.tensor.im2col import get_plan
 from repro.tensor.tensor import Tensor, no_grad
 from repro.train.evaluate import reseed_noise
 
@@ -96,6 +101,73 @@ class TestArenaBound:
                         a.offset + a.nbytes <= b.offset
                         or b.offset + b.nbytes <= a.offset
                     )
+
+
+@pytest.fixture(scope="module")
+def offline_bench(compile_config, tmp_path_factory):
+    """The ``offline`` workload's model shape: 16x16 images, 20 classes."""
+    root = tmp_path_factory.mktemp("offline")
+    return Workbench(
+        replace(
+            compile_config,
+            image_size=16,
+            num_classes=20,
+            train_per_class=4,
+            val_per_class=4,
+            cache_dir=str(root / "cache"),
+            results_dir=str(root / "results"),
+        )
+    )
+
+
+#: Batches that split the 16-channel 16x16 layer into several image
+#: blocks, three of them with a smaller tail (15+14, 19*3, 27+27+26
+#: and 6*26+4*25 images).
+BLOCKED_SIZES = (29, 57, 80, 256)
+
+
+class TestBlockedConv:
+    def test_sizes_split_the_widest_layer(self):
+        plan = get_plan(16, 16, 16, (3, 3), (1, 1), (1, 1))
+        for size in BLOCKED_SIZES:
+            assert len(plan.blocks(size, 4)) >= 2, size
+
+    @pytest.mark.parametrize(
+        "token", ["fp32", "quant", "ams:e5.5:n8", "ams_eval:e5.5:n8"]
+    )
+    def test_blocked_runs_match_the_interpreter(self, offline_bench, token):
+        spec = ModelSpec.parse(token).resolved(offline_bench.config)
+        model = offline_bench.build(spec)
+        compiled = compile_model(model)
+        images = _images(offline_bench, max(BLOCKED_SIZES))
+        for size in BLOCKED_SIZES:
+            reseed_noise(model, 3, size)
+            expected = _interpreted(model, images[:size])
+            for run in ("record", "replay"):
+                reseed_noise(model, 3, size)
+                logits = compiled.predict(images[:size])
+                assert np.array_equal(expected, logits), (size, run)
+        assert len(compiled._bindings) == len(BLOCKED_SIZES)
+
+    def test_offline_arena_under_half_of_whole_batch_columns(
+        self, offline_bench
+    ):
+        """``ams:e5.5:n8`` at batch 256 plans at most 25.7 MB.
+
+        With whole-batch patch columns the peak was 51.4 MB, inside the
+        first residual block's first conv: the block input (256 x 16 x
+        16 x 16 float32, 4.19 MB), the padded input (5.31 MB), the
+        columns (65,536 x 144 float32, 37.75 MB) and the conv's input
+        again as ``x`` (4.19 MB).  Blocked, the columns of a block are
+        at most 4 MiB and die before the epilogue, so the peak moves to
+        the noise draw of that conv: the block input, ``out_mat``
+        (65,536 x 16, 4.19 MB), ``dst`` (4.19 MB), the float64 noise
+        (8.39 MB) and its float32 cast (4.19 MB) -- 25.17 MB.
+        """
+        spec = ModelSpec.parse("ams:e5.5:n8").resolved(offline_bench.config)
+        compiled = compile_model(offline_bench.build(spec))
+        compiled.predict(_images(offline_bench, 256))
+        assert compiled.arena_bytes < 0.5 * 51.4e6
 
 
 class TestRecordEqualsReplay:

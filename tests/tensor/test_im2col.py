@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ShapeError
-from repro.tensor.im2col import col2im, conv_output_size, get_plan, im2col
+from repro.tensor.im2col import (
+    BLOCK_BYTES,
+    MIN_BLOCK_ROWS,
+    col2im,
+    conv_output_size,
+    get_plan,
+    im2col,
+)
 from repro.tensor.pool import default_pool
 
 
@@ -271,3 +278,46 @@ class TestSingleCopy:
         peak = traced_peak(lambda: pool.release(im2col(x, (3, 3), (1, 1), padding)))
         # Any copy of the input or of the columns would be >= 500 KiB.
         assert peak < cols.nbytes // 64
+
+
+class TestBlocks:
+    """``Im2colPlan.blocks``: the image blocks of the compiled conv."""
+
+    # (channels, size, kernel, stride, padding) of resnet_small layers.
+    GEOMETRIES = [
+        (3, 16, 3, 1, 1),
+        (16, 16, 3, 1, 1),
+        (16, 16, 3, 2, 1),
+        (32, 8, 3, 1, 1),
+        (32, 4, 3, 1, 1),
+        (64, 4, 3, 1, 1),
+        (16, 16, 1, 2, 0),
+    ]
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=str)
+    @pytest.mark.parametrize("n", [1, 7, 29, 57, 80, 256, 1024])
+    def test_blocks_tile_balanced_above_the_floor(self, geometry, n):
+        c, size, k, s, p = geometry
+        plan = get_plan(c, size, size, (k, k), (s, s), (p, p))
+        blocks = plan.blocks(n, 4)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        sizes = [stop - start for start, stop in blocks]
+        assert max(sizes) - min(sizes) <= 1
+        positions = plan.out_h * plan.out_w
+        image_bytes = positions * plan.patch_len * 4
+        if len(blocks) > 1:
+            assert min(sizes) * positions >= MIN_BLOCK_ROWS
+        # A block is over the target only when one more block would
+        # put a GEMM under the row floor.
+        if max(sizes) * image_bytes > BLOCK_BYTES:
+            assert (n // (len(blocks) + 1)) * positions < MIN_BLOCK_ROWS
+
+    def test_offline_layer_splits_into_ragged_blocks(self):
+        plan = get_plan(16, 16, 16, (3, 3), (1, 1), (1, 1))
+        assert plan.blocks(28, 4) == [(0, 28)]
+        assert plan.blocks(29, 4) == [(0, 15), (15, 29)]
+        assert plan.blocks(80, 4) == [(0, 27), (27, 54), (54, 80)]
+        blocks = plan.blocks(256, 4)
+        assert len(blocks) == 10
+        assert {stop - start for start, stop in blocks} == {25, 26}
