@@ -25,7 +25,6 @@ from repro.ckpt.checkpoint import (
     CKPT_SCHEMA_VERSION,
     TrainCheckpoint,
     capture_rng_states,
-    checkpoint_path,
     load_checkpoint,
     restore_rng_states,
     save_checkpoint,
@@ -47,7 +46,6 @@ __all__ = [
     "CKPT_SCHEMA_VERSION",
     "TrainCheckpoint",
     "capture_rng_states",
-    "checkpoint_path",
     "clear_interrupt",
     "graceful_shutdown",
     "install_handlers",

@@ -1,16 +1,17 @@
 """Versioned, schema-checked, atomically-written training checkpoints.
 
-One checkpoint is one ``.npz`` archive — a single file, so the
-:func:`~repro.utils.serialization.atomic_write` rename makes the whole
-capture atomic — holding the complete state of a
+One checkpoint is one artifact file
+(:func:`~repro.utils.serialization.save_state`) — a single file, so
+the :func:`~repro.utils.serialization.atomic_write` rename makes the
+whole capture atomic — holding the complete state of a
 :meth:`repro.train.Trainer.fit` run at an epoch boundary:
 
 - ``model.<name>``: the live model ``state_dict`` arrays,
 - ``optim.<name>``: optimizer slot state (SGD velocity / Adam moments
   and step count),
 - ``best.<name>``: the best-validation-epoch weight snapshot,
-- a JSON metadata block (stored as a uint8 array so everything rides
-  in one archive): schema version, epoch index, early-stop counters,
+- JSON metadata in the file's header: schema version, epoch index,
+  early-stop counters,
   the full epoch history, the training-config fingerprint, and every
   RNG state the remaining epochs depend on — the dataloader shuffle
   generator plus any stateful per-module noise generator (AMS error
@@ -24,21 +25,17 @@ final weights and history bit-identical to an uninterrupted run.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.errors import CheckpointError
-from repro.utils.serialization import load_state, normalize_npz_path, save_state
+from repro.errors import ArtifactError, CheckpointError
+from repro.utils.serialization import load_state, save_state
 
 #: Checkpoint format version; bump on any incompatible layout change.
 CKPT_SCHEMA_VERSION = 1
-
-#: Archive key of the JSON metadata block.
-_META_KEY = "__checkpoint_meta__"
 
 #: Array-key prefixes for the three state-dict sections.
 _SECTIONS = ("model", "optim", "best")
@@ -83,14 +80,8 @@ class TrainCheckpoint:
     schema_version: int = CKPT_SCHEMA_VERSION
 
 
-def checkpoint_path(base: str) -> str:
-    """The conventional checkpoint path beside an artifact ``base``."""
-    return normalize_npz_path(f"{base}.ckpt", caller="checkpoint_path")
-
-
 def save_checkpoint(path: str, ckpt: TrainCheckpoint) -> str:
-    """Atomically write ``ckpt`` to ``path``; returns the final path."""
-    path = normalize_npz_path(path, caller="save_checkpoint")
+    """Atomically write ``ckpt`` to ``path`` (used as given); returns it."""
     arrays: Dict[str, np.ndarray] = {}
     sections = {
         "model": ckpt.model_state,
@@ -112,33 +103,29 @@ def save_checkpoint(path: str, ckpt: TrainCheckpoint) -> str:
         "train_config": ckpt.train_config,
         "has_best": ckpt.best_state is not None,
     }
-    arrays[_META_KEY] = np.frombuffer(
-        json.dumps(meta).encode("utf-8"), dtype=np.uint8
-    )
-    save_state(path, arrays)
+    save_state(path, arrays, meta=meta)
     return path
 
 
 def load_checkpoint(path: str) -> TrainCheckpoint:
     """Read and validate a checkpoint written by :func:`save_checkpoint`.
 
-    Raises :class:`~repro.errors.CheckpointError` when the archive is
-    missing, lacks the metadata block, carries an unsupported schema
-    version, or is missing required fields.
+    Raises :class:`~repro.errors.CheckpointError` when the file is
+    missing or damaged, lacks checkpoint metadata, carries an
+    unsupported schema version, or is missing required fields.
     """
-    path = normalize_npz_path(path, caller="load_checkpoint")
     if not os.path.exists(path):
         raise CheckpointError(f"no checkpoint at {path}")
-    arrays = load_state(path)
-    if _META_KEY not in arrays:
-        raise CheckpointError(
-            f"{path} is not a training checkpoint (no {_META_KEY} block); "
-            "was it written by save_state instead of save_checkpoint?"
-        )
     try:
-        meta = json.loads(bytes(arrays.pop(_META_KEY)).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"corrupt checkpoint metadata in {path}: {exc}")
+        arrays, meta = load_state(path)
+    except ArtifactError as exc:
+        raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
+    if "schema_version" not in meta:
+        raise CheckpointError(
+            f"{path} is not a training checkpoint (no checkpoint "
+            "metadata); was it written by save_state instead of "
+            "save_checkpoint?"
+        )
     missing = [name for name in _REQUIRED_META if name not in meta]
     if missing:
         raise CheckpointError(

@@ -65,11 +65,20 @@ class SweepError(ReproError):
         self.failures = tuple(failures)
 
 
+class ArtifactError(ReproError):
+    """An artifact file is damaged or not in the artifact format.
+
+    Raised by :mod:`repro.utils.serialization` on a bad magic string or
+    format version, a damaged header, a length mismatch (truncation) or
+    a payload crc mismatch, before any array of the file is handed out.
+    """
+
+
 class CheckpointError(ReproError):
     """A training checkpoint is missing, corrupt, or incompatible.
 
-    Raised by :mod:`repro.ckpt` when an archive lacks the checkpoint
-    metadata block, carries an unsupported schema version, or was
+    Raised by :mod:`repro.ckpt` when a file is damaged, lacks the
+    checkpoint metadata, carries an unsupported schema version, or was
     written for a different training configuration than the one trying
     to resume from it.
     """

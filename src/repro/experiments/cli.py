@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     registry_cmd.add_argument(
         "--name",
         default=None,
-        help="artifact stem (file name without .npz/.json) to evict",
+        help="artifact stem (file name without .state) to evict",
     )
     registry_cmd.add_argument(
         "--spec",

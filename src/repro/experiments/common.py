@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.ams.vmac import VMACConfig
 from repro.data.synthetic import SynthImageNet, SynthImageNetConfig
+from repro.errors import ArtifactError
 from repro.experiments.config import ExperimentConfig
 from repro.models.factory import AMSFactory, DoReFaFactory, FP32Factory
 from repro.models.resnet import ResNet, resnet_small
@@ -29,11 +30,7 @@ from repro.serve.spec import ModelSpec
 from repro.train.evaluate import EvalStats, repeated_evaluate
 from repro.train.freeze import freeze_layers
 from repro.train.trainer import TrainConfig, Trainer
-from repro.utils.serialization import (
-    atomic_write_json,
-    load_state,
-    save_state,
-)
+from repro.utils.serialization import load_state, save_state
 from repro.utils.tabulate import format_table
 
 
@@ -216,14 +213,6 @@ class Workbench:
     # ------------------------------------------------------------------
     # cached training
     # ------------------------------------------------------------------
-    def _cache_base(self, name: str) -> str:
-        # The registry layout is the single home for cache paths
-        # (rule registry-cache-path of tools/lint.py forbids building
-        # them anywhere else).
-        from repro.registry.layout import artifact_base
-
-        return artifact_base(self.config, name)
-
     def _train_cached(
         self,
         name: str,
@@ -235,21 +224,27 @@ class Workbench:
         """Train-or-load a model by cache name.
 
         Returns ``(model_with_best_weights, metadata)`` where metadata
-        records the best validation accuracy and training history.
+        records the best validation accuracy and training history.  A
+        damaged cache file is a miss: it is journaled as
+        ``source="corrupt"``, retrained and overwritten.
         """
         from repro.obs.journal import journal_event
+        # The registry layout is the single home for cache paths and
+        # suffixes (rule registry-cache-path of tools/lint.py forbids
+        # building them anywhere else).
+        from repro.registry.layout import artifact_paths
 
-        base = self._cache_base(name)
-        state_path = base + ".npz"
-        meta_path = base + ".json"
-        ckpt_path = base + ".ckpt.npz"
+        paths = artifact_paths(self.config, name)
         model = build()
-        if os.path.exists(state_path) and os.path.exists(meta_path):
-            model.load_state_dict(load_state(state_path))
-            with open(meta_path) as fh:
-                meta = json.load(fh)
-            journal_event("bench.artifact", name=name, source="cache")
-            return model, meta
+        if os.path.exists(paths.state):
+            try:
+                state, meta = load_state(paths.state)
+            except ArtifactError:
+                journal_event("bench.artifact", name=name, source="corrupt")
+            else:
+                model.load_state_dict(state)
+                journal_event("bench.artifact", name=name, source="cache")
+                return model, meta
 
         if init_state is not None:
             model.load_state_dict(init_state)
@@ -259,12 +254,12 @@ class Workbench:
         # (``--resume``); writing them is cheap next to an epoch, so
         # they are always on.  Resume is only honored when requested —
         # a stale checkpoint must never silently shape a fresh run.
-        resume = self.resume_run is not None and os.path.exists(ckpt_path)
+        resume = self.resume_run is not None and os.path.exists(paths.ckpt)
         result = Trainer(train_config).fit(
             model,
             self.data.train,
             self.data.val,
-            checkpoint_path=ckpt_path,
+            checkpoint_path=paths.ckpt,
             resume=resume,
         )
         meta = {
@@ -275,15 +270,14 @@ class Workbench:
             "stopped_early": result.stopped_early,
             "history": result.history,
         }
-        # save_state / atomic_write_json are crash-safe (tmp + fsync +
-        # rename + dir fsync, pid-unique temporaries): sweep workers
-        # sharing cache_dir never observe a partial artifact, and even
-        # two processes redundantly training the same artifact cannot
-        # corrupt it.
-        save_state(state_path, model.state_dict())
-        atomic_write_json(meta_path, meta)
+        # save_state is crash-safe (tmp + fsync + rename + dir fsync,
+        # pid-unique temporaries), and weights and metadata are one
+        # file: sweep workers sharing cache_dir never observe a partial
+        # artifact, and even two processes redundantly training the
+        # same artifact cannot corrupt it.
+        save_state(paths.state, model.state_dict(), meta=meta)
         try:
-            os.remove(ckpt_path)  # the cached artifact supersedes it
+            os.remove(paths.ckpt)  # the cached artifact supersedes it
         except OSError:
             pass
         journal_event("bench.artifact", name=name, source="trained")

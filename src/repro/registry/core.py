@@ -10,7 +10,7 @@ tier answers:
   ready for :func:`repro.serve.executor.forward_with_request_noise`.
   One LRU pool across tenants, bounded by ``warm_max_entries`` and by
   per-tenant byte quotas.
-- **cold** — the on-disk ``.npz`` artifact under the workbench cache
+- **cold** — the on-disk ``.state`` artifact under the workbench cache
   layout (:mod:`repro.registry.layout`).  A warm miss with a cold hit
   loads and *promotes*; nothing retrains.
 - **evictable** — warm LRU victims still pinned by a consumer (a

@@ -1,20 +1,21 @@
 """On-disk layout of the model-artifact registry (the cold tier).
 
-Every trained artifact lives in one flat cache directory as an atomic
-pair — ``<prefix>-<cache_name>.npz`` (state dict) plus the matching
-``.json`` (training metadata) — with a transient ``.ckpt.npz`` beside
-it while training is in flight.  ``<prefix>`` is
-``ExperimentConfig.cache_key_prefix()`` (profile, seed, data shape),
-``<cache_name>`` is :meth:`repro.serve.spec.ModelSpec.cache_name` — the
-content address the registry is keyed by.
+Every trained artifact lives in one flat cache directory as one
+atomic file, ``<prefix>-<cache_name>.state``, holding the state dict
+and its training metadata (:func:`repro.utils.save_state`), with a
+transient ``.ckpt`` checkpoint beside it while training is in flight.
+``<prefix>`` is ``ExperimentConfig.cache_key_prefix()`` (profile,
+seed, data shape), ``<cache_name>`` is
+:meth:`repro.serve.spec.ModelSpec.cache_name` — the content address
+the registry is keyed by.
 
 This module is the **single home** for cache-directory path
-construction: rule ``registry-cache-path`` of ``tools/lint.py``
-(tier-1) rejects any other module under ``repro`` that touches
-``config.cache_dir`` or spells the default cache path, so tier
-bookkeeping can trust that every artifact on disk went through these
-helpers — and through the crash-safe :func:`repro.utils.atomic_write`
-protocol they build on.
+construction and file suffixes: rule ``registry-cache-path`` of
+``tools/lint.py`` (tier-1) rejects any other module under ``repro``
+that touches ``config.cache_dir`` or spells the default cache path,
+so tier bookkeeping can trust that every artifact on disk went through
+these helpers — and through the crash-safe
+:func:`repro.utils.atomic_write` protocol they build on.
 
 Crashed writers leave pid-unique temporaries behind
 (``<file>.tmp<pid>``).  :func:`scan_artifacts` classifies those as
@@ -36,22 +37,24 @@ from typing import List, Optional, Tuple
 #: spelled exactly once outside the config dataclass.
 DEFAULT_CACHE_DIR = ".cache/experiments"
 
-#: Leftovers of a crashed worker's atomic write: real cache entries are
-#: ``<name>.npz`` / ``<name>.json`` / ``<name>.ckpt.npz``; a process
-#: that died mid-save leaves ``<name>.<ext>.tmp<pid>`` behind (or, from
-#: builds predating the shared atomic_write helper,
-#: ``<name>.tmp<pid>.<ext>``).
-STALE_TMP = re.compile(r"(\.tmp(\d+)\.(npz|json)|\.(npz|json)\.tmp(\d+))$")
+#: Suffix of a complete cold-tier artifact (state dict + metadata).
+STATE_SUFFIX = ".state"
+
+#: Suffix of the transient per-epoch checkpoint beside it.
+CKPT_SUFFIX = ".ckpt"
+
+#: Leftovers of an atomic write: a process that died mid-save leaves
+#: ``<name>.state.tmp<pid>`` or ``<name>.ckpt.tmp<pid>`` behind.
+STALE_TMP = re.compile(r"\.(state|ckpt)\.tmp(\d+)$")
 
 
 @dataclass(frozen=True)
 class ArtifactPaths:
-    """The file triple of one cold-tier artifact."""
+    """The files of one cold-tier artifact."""
 
     base: str
-    state: str  # <base>.npz — the trained state dict
-    meta: str  # <base>.json — training metadata
-    ckpt: str  # <base>.ckpt.npz — transient per-epoch checkpoint
+    state: str  # <base>.state — the trained state dict and metadata
+    ckpt: str  # <base>.ckpt — transient per-epoch checkpoint
 
 
 def artifact_base(config, name: str) -> str:
@@ -68,20 +71,16 @@ def artifact_base(config, name: str) -> str:
 
 
 def artifact_paths(config, name: str) -> ArtifactPaths:
-    """The state/meta/checkpoint paths of the artifact named ``name``."""
+    """The state and checkpoint paths of the artifact named ``name``."""
     base = artifact_base(config, name)
     return ArtifactPaths(
-        base=base,
-        state=base + ".npz",
-        meta=base + ".json",
-        ckpt=base + ".ckpt.npz",
+        base=base, state=base + STATE_SUFFIX, ckpt=base + CKPT_SUFFIX
     )
 
 
 def artifact_exists(config, name: str) -> bool:
-    """Whether a complete (state + meta) artifact is on disk."""
-    paths = artifact_paths(config, name)
-    return os.path.exists(paths.state) and os.path.exists(paths.meta)
+    """Whether a complete artifact is on disk."""
+    return os.path.exists(artifact_paths(config, name).state)
 
 
 def scratch_cache_dir(config, label: str) -> str:
@@ -106,9 +105,9 @@ def scratch_cache_dir(config, label: str) -> str:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ArtifactEntry:
-    """One complete ``.npz`` entry found by :func:`scan_artifacts`."""
+    """One complete ``.state`` entry found by :func:`scan_artifacts`."""
 
-    name: str  # file name, e.g. quick-s77-...-fp32.npz
+    name: str  # file name, e.g. quick-s77-...-fp32.state
     path: str
     size_bytes: int
 
@@ -116,10 +115,7 @@ class ArtifactEntry:
 def _tmp_pid(name: str) -> Optional[int]:
     """The writer pid encoded in a temporary's file name, else None."""
     match = STALE_TMP.search(name)
-    if match is None:
-        return None
-    pid = match.group(2) or match.group(5)
-    return int(pid) if pid else None
+    return None if match is None else int(match.group(2))
 
 
 def _pid_alive(pid: int) -> bool:
@@ -138,8 +134,9 @@ def scan_artifacts(
 ) -> Tuple[List[ArtifactEntry], List[str], List[str]]:
     """Classify a cache directory: ``(entries, stale_tmps, live_tmps)``.
 
-    ``entries`` are complete ``.npz`` artifacts; ``stale_tmps`` are
-    temporaries whose writer process is gone (safe to delete);
+    ``entries`` are complete ``.state`` artifacts (never an in-flight
+    checkpoint); ``stale_tmps`` are temporaries whose writer process is
+    gone (safe to delete);
     ``live_tmps`` are temporaries a running writer still owns — an
     eviction in progress must leave them alone.
     """
@@ -153,7 +150,7 @@ def scan_artifacts(
         if pid is not None:
             (live if _pid_alive(pid) else stale).append(name)
             continue
-        if name.endswith(".npz"):
+        if name.endswith(STATE_SUFFIX):
             path = os.path.join(cache_dir, name)
             try:
                 size = os.path.getsize(path)
@@ -173,9 +170,9 @@ def evict_artifacts(
     """Delete cold artifacts; returns ``(removed count, live tmps kept)``.
 
     ``names`` selects artifact *stems* (the file name without its
-    ``.npz`` / ``.json`` suffix) or exact file names; ``everything``
-    removes all complete entries.  Stale temporaries (dead writer pid)
-    are always swept; **live** temporaries are never touched, so an
+    ``.state`` / ``.ckpt`` suffix) or exact file names; ``everything``
+    removes every artifact and checkpoint.  Stale temporaries (dead
+    writer pid) are always swept; **live** temporaries are never touched, so an
     eviction racing a worker mid-publication cannot tear the worker's
     atomic write.  Missing files are skipped silently — a concurrent
     eviction already won.
@@ -192,12 +189,8 @@ def evict_artifacts(
                 live_kept.append(name)
                 continue
             target = True  # stale temporary: always sweep
-        elif name.endswith((".npz", ".json")):
-            stem = name
-            for suffix in (".ckpt.npz", ".npz", ".json"):
-                if stem.endswith(suffix):
-                    stem = stem[: -len(suffix)]
-                    break
+        elif name.endswith((STATE_SUFFIX, CKPT_SUFFIX)):
+            stem = os.path.splitext(name)[0]
             target = everything or name in wanted or stem in wanted
         else:
             target = False

@@ -8,9 +8,9 @@ The serving stack, bottom to top:
 - an **executor** — runs ready-made batches with per-request
   deterministic AMS noise streams.  Two implementations answer the
   same calls: :class:`InProcessExecutor` (one thread in this process)
-  and :class:`ServeCluster` (N replica processes binding one
-  mmap-published weight store, :mod:`repro.serve.shared`, with
-  rolling restarts);
+  and :class:`ServeCluster` (N replica processes mapping one published
+  artifact file per model, :mod:`repro.serve.shared`, with rolling
+  restarts);
 - :class:`FrontDoor` — the one admission layer: an asyncio
   admission/batching front over either executor, with load shedding,
   degradation to a fallback spec and deadlines;
@@ -33,7 +33,7 @@ See ``docs/serving.md`` for the architecture and the knobs.
 from repro.serve.cluster import SHARD_POLICIES, ClusterService, ServeCluster
 from repro.serve.executor import InProcessExecutor
 from repro.serve.frontdoor import FrontDoor, Prediction
-from repro.serve.shared import SharedWeights, bind_shared, publish_weights
+from repro.serve.shared import bind_shared
 from repro.serve.spec import VARIANTS, ModelSpec
 from repro.serve.stats import ServeStats
 
@@ -47,7 +47,5 @@ __all__ = [
     "FrontDoor",
     "Prediction",
     "ServeStats",
-    "SharedWeights",
     "bind_shared",
-    "publish_weights",
 ]

@@ -15,9 +15,9 @@ Key mechanics:
   the model registry (:mod:`repro.registry` — warm hit, cold-tier
   promotion, or a train on a true miss), pins the warm entry for the
   lifetime of the publication, and publishes the state dict as one
-  mmap-able blob
-  (:mod:`repro.serve.shared`), and replicas bind parameter arrays as
-  read-only views straight into the mapping.  No per-worker weight
+  artifact file (:func:`repro.utils.save_state`), and replicas map it
+  (:mod:`repro.serve.shared`) and bind parameter arrays as read-only
+  views straight into the mapping.  No per-worker weight
   copy, under any multiprocessing start method.
 - **replica protocol** — one duplex pipe per replica; the parent's
   reader thread resolves futures as replies arrive, so any number of
@@ -75,14 +75,10 @@ from repro.errors import (
 from repro.obs.journal import journal_event
 from repro.obs.metrics import MetricRegistry
 from repro.parallel.runner import start_method
-from repro.serve.shared import (
-    bind_shared,
-    bound_fraction,
-    process_rss_kb,
-    publish_weights,
-)
+from repro.serve.shared import bind_shared, bound_fraction, process_rss_kb
 from repro.serve.spec import ModelSpec
 from repro.serve.stats import LATENCY_MS_BUCKETS, ServeStats
+from repro.utils.serialization import save_state
 
 #: Recognized request-routing policies.
 SHARD_POLICIES: Tuple[str, ...] = ("none", "model")
@@ -128,7 +124,7 @@ def _worker_main(worker_id: int, conn, init: dict) -> None:
                 continue
             spec = ModelSpec.parse(token)
             model = bench.build(spec, calibrate=False)
-            bound += bind_shared(model, entry["weights"])
+            bound += bind_shared(model, entry["path"])
             # The input quantizer's rescale constant is a plain
             # attribute, not state-dict state — restore it from the
             # parent's calibrated value instead of materializing the
@@ -372,7 +368,7 @@ class ServeCluster:
         Anything with ``.config`` and a train-or-load path — normally a
         :class:`repro.experiments.common.Workbench`.  Only the parent
         touches training and the dataset; replicas receive the config
-        and the published weight blobs.
+        and the paths of the published weight files.
     workers:
         Replica process count.
     shard_by:
@@ -382,15 +378,15 @@ class ServeCluster:
         Root of the per-request noise streams (default: the workbench
         config's seed) — the same contract as the in-process executor.
     share_dir:
-        Directory for the published weight blobs (default: a fresh
+        Directory for the published weight files (default: a fresh
         temp dir, removed on :meth:`stop`).
     registry:
         The :class:`repro.registry.ModelRegistry` the parent acquires
         models through (default: a private one over ``workbench``
         reporting into the cluster's metric registry).  Published specs
         are **pinned** warm entries: registry eviction demotes them to
-        the evictable tier instead of dropping them, so the mmap blobs
-        replicas hold stay backed until :meth:`stop` unpins.
+        the evictable tier instead of dropping them, so the files
+        replicas map stay backed until :meth:`stop` unpins.
     tenant:
         The registry tenant this cluster's acquisitions are charged to.
     """
@@ -428,7 +424,7 @@ class ServeCluster:
         self._replica_ids = itertools.count()
         #: Rotates least-loaded ties over the eligible replicas.
         self._turns = itertools.count()
-        #: token -> warm payload ({"weights": SharedWeights, ...}).
+        #: token -> warm payload ({"path": published file, ...}).
         self._published: Dict[str, dict] = {}
         self._stats = ServeStats()
         self._lock = threading.Lock()
@@ -487,7 +483,7 @@ class ServeCluster:
         return replica
 
     def stop(self) -> None:
-        """Drain every replica and remove the published blobs."""
+        """Drain every replica and remove the published files."""
         with self._lock:
             replicas, self._replicas = self._replicas, []
         for replica in replicas:
@@ -533,12 +529,13 @@ class ServeCluster:
             if token in self._published:
                 continue
             model, _meta = self.registry.get(spec, tenant=self.tenant)
-            blob = os.path.join(
-                self.share_dir, f"{spec.cache_name()}.weights.bin"
+            path = os.path.abspath(
+                os.path.join(self.share_dir, f"{spec.cache_name()}.state")
             )
-            shared = publish_weights(model.state_dict(), blob)
+            state = model.state_dict()
+            save_state(path, state)
             entry = {
-                "weights": shared,
+                "path": path,
                 "input_max_abs": getattr(
                     model.input_adapter, "max_abs", None
                 ),
@@ -548,22 +545,29 @@ class ServeCluster:
             journal_event(
                 "serve.shared",
                 spec=token,
-                bytes=shared.nbytes,
-                path=shared.path,
+                bytes=sum(arr.nbytes for arr in state.values()),
+                path=path,
             )
             futures = [
                 (replica, replica.call("warm", {token: entry}))
                 for replica in self._eligible(token)
             ]
-            for replica, future in futures:
-                info = future.result(timeout=_DEFAULT_TIMEOUT_S)
-                journal_event(
-                    "serve.replica",
-                    replica=replica.replica_id,
-                    action="warmed",
-                    spec=token,
-                    rss_kb=info.get("rss_kb"),
-                )
+            try:
+                for replica, future in futures:
+                    info = future.result(timeout=_DEFAULT_TIMEOUT_S)
+                    journal_event(
+                        "serve.replica",
+                        replica=replica.replica_id,
+                        action="warmed",
+                        spec=token,
+                        rss_kb=info.get("rss_kb"),
+                    )
+            except BaseException:
+                # A spec some replica could not bind is not published:
+                # a later warm retries it instead of trusting it.
+                del self._published[token]
+                self.registry.unpin(spec, tenant=self.tenant)
+                raise
         return self
 
     def published_specs(self) -> List[str]:

@@ -55,7 +55,6 @@ from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
 from repro.train.evaluate import evaluate_accuracy
 from repro.utils.rng import new_rng
-from repro.utils.serialization import normalize_npz_path
 
 
 @dataclass(frozen=True)
@@ -177,10 +176,6 @@ class Trainer:
             momentum=cfg.momentum,
             weight_decay=cfg.weight_decay,
         )
-        if checkpoint_path is not None:
-            checkpoint_path = normalize_npz_path(
-                checkpoint_path, caller="Trainer.fit"
-            )
         result = TrainResult(best_accuracy=-1.0, best_epoch=-1)
         best_state = None
         epochs_since_best = 0

@@ -5,7 +5,7 @@ from repro.utils.serialization import (
     atomic_write,
     atomic_write_json,
     load_state,
-    normalize_npz_path,
+    map_state,
     save_state,
 )
 from repro.utils.tabulate import format_table
@@ -15,8 +15,8 @@ __all__ = [
     "atomic_write_json",
     "format_table",
     "load_state",
+    "map_state",
     "new_rng",
-    "normalize_npz_path",
     "save_state",
     "spawn_rngs",
 ]

@@ -1,4 +1,4 @@
-"""Crash-safe file I/O: atomic writes and state-dict checkpoints (npz).
+"""Crash-safe file I/O: atomic writes and the one artifact file format.
 
 Every durable artifact in the repo — workbench cache entries, journal
 manifests and summaries, training checkpoints, sweep point results —
@@ -14,6 +14,15 @@ power loss:
 4. the parent directory is ``fsync``\\ ed so the rename itself is
    durable — without this a power loss can leave a zero-length
    "complete" file that poisons every later reader.
+
+Every array artifact — registry cache entries, training checkpoints and
+the weights a serving cluster publishes to its replicas — is one file
+in one format, written by :func:`save_state`: a self-describing JSON
+header (entries, caller metadata, payload length and crc32) followed
+by a 64-byte-aligned payload.  One header parser serves two reads:
+:func:`load_state` copies the arrays out, :func:`map_state` maps them
+read-only in place.  A damaged file raises
+:class:`~repro.errors.ArtifactError` before any array is handed out.
 """
 
 from __future__ import annotations
@@ -21,11 +30,13 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from typing import Dict, Iterator
+import struct
+import zlib
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ArtifactError, ConfigError
 
 
 def fsync_dir(path: str) -> None:
@@ -86,49 +97,132 @@ def atomic_write_json(path: str, payload: dict, **dump_kwargs) -> None:
         fh.write("\n")
 
 
-def normalize_npz_path(path: str, caller: str = "save_state") -> str:
-    """Resolve the ``.npz`` suffix ``np.savez`` would silently append.
+#: First bytes of every artifact file.
+MAGIC = b"REPROART"
 
-    Without this, ``save_state("ckpt")`` writes ``ckpt.npz`` while
-    ``load_state("ckpt")`` looks for ``ckpt`` — a guaranteed
-    ``FileNotFoundError``.  Suffix-less paths are normalized to
-    ``<path>.npz`` in both directions; a conflicting extension (e.g.
-    ``.json``) raises :class:`~repro.errors.ConfigError` instead of
-    producing a surprise ``<path>.json.npz`` file.  The repo's own
-    ``.ckpt`` checkpoint suffix is a stem, not a conflict: it
-    normalizes to ``<path>.ckpt.npz``.
+#: Artifact format version; bump on any incompatible layout change.
+FORMAT_VERSION = 1
+
+#: Byte alignment of the payload and of every array inside it.
+ALIGN = 64
+
+#: magic, format version, header length, crc32 of the header.
+_PREFIX = struct.Struct("<8sIII")
+
+
+def _aligned(offset: int) -> int:
+    return (offset + ALIGN - 1) // ALIGN * ALIGN
+
+
+def save_state(
+    path: str, state: Dict[str, np.ndarray], meta: Optional[dict] = None
+) -> None:
+    """Atomically write ``state`` and ``meta`` as one artifact file.
+
+    The file is the prefix (magic, format version, header length and
+    header crc32), a JSON header, zero padding to :data:`ALIGN`, then
+    the payload: every array in C order at an ``ALIGN``-aligned offset.
+    The header lists each entry's ``[name, offset, shape, dtype]``, the
+    caller's ``meta`` (any JSON-serializable dict), the payload length
+    and its crc32.  ``path`` is used exactly as given.
     """
-    if path.endswith(".npz"):
-        return path
-    base = os.path.basename(path)
-    root, ext = os.path.splitext(base)
-    # A dotted *directory* or a dotfile is not an extension conflict,
-    # and neither is our own checkpoint suffix.
-    if ext == ".ckpt":
-        return path + ".npz"
-    if ext and root:
-        raise ConfigError(
-            f"{caller} path {path!r} has extension {ext!r}; checkpoint "
-            "archives are .npz (pass a .npz or suffix-less path)"
-        )
-    return path + ".npz"
-
-
-def save_state(path: str, state: Dict[str, np.ndarray]) -> None:
-    """Atomically write a state dict to ``path`` (npz).
-
-    Creates parent dirs; the write is crash-safe (tmp + fsync + rename
-    + dir fsync), so concurrent readers — e.g. sweep workers sharing a
-    cache directory — never observe a partial archive.
-    """
-    path = normalize_npz_path(path, caller="save_state")
-    # npz keys cannot contain '/', but '.' is fine; store as-is.
+    if not state:
+        raise ConfigError(f"cannot save an empty state dict to {path}")
+    entries = []
+    payload = bytearray()
+    for name, value in state.items():
+        arr = np.asarray(value)
+        if arr.dtype.kind not in "biufc":
+            raise ConfigError(
+                f"cannot save {name!r}: dtype {arr.dtype} is not numeric"
+            )
+        payload += bytes(_aligned(len(payload)) - len(payload))
+        entries.append([name, len(payload), list(arr.shape), arr.dtype.str])
+        payload += arr.tobytes()
+    header = json.dumps(
+        {
+            "entries": entries,
+            "meta": meta or {},
+            "payload_bytes": len(payload),
+            "crc32": zlib.crc32(payload),
+        }
+    ).encode("utf-8")
+    head = _PREFIX.pack(
+        MAGIC, FORMAT_VERSION, len(header), zlib.crc32(header)
+    ) + header
     with atomic_write(path, "wb") as fh:
-        np.savez(fh, **state)
+        fh.write(head + bytes(_aligned(len(head)) - len(head)))
+        fh.write(payload)
 
 
-def load_state(path: str) -> Dict[str, np.ndarray]:
-    """Read a state dict written by :func:`save_state`."""
-    path = normalize_npz_path(path, caller="load_state")
-    with np.load(path) as archive:
-        return {key: archive[key] for key in archive.files}
+def _read(buf, path: str) -> Tuple[Dict[str, np.ndarray], dict]:
+    """Validate a whole artifact file and view its arrays in ``buf``.
+
+    ``buf`` is the file's bytes (a ``bytes`` read or a read-only map).
+    Raises :class:`~repro.errors.ArtifactError` on a bad magic string or
+    version, a bad header, a length mismatch or a crc mismatch, so no
+    array of a damaged file is ever handed out.
+    """
+    if len(buf) < _PREFIX.size:
+        raise ArtifactError(f"{path} is truncated: {len(buf)} bytes")
+    magic, version, header_len, header_crc = _PREFIX.unpack_from(buf)
+    if magic != MAGIC:
+        raise ArtifactError(f"{path} is not an artifact file (bad magic)")
+    if version != FORMAT_VERSION:
+        raise ArtifactError(
+            f"{path} has format version {version}; this build reads "
+            f"version {FORMAT_VERSION}"
+        )
+    header = bytes(buf[_PREFIX.size : _PREFIX.size + header_len])
+    if len(header) != header_len or zlib.crc32(header) != header_crc:
+        raise ArtifactError(f"{path} has a damaged header")
+    try:
+        fields = json.loads(header.decode("utf-8"))
+        entries = [
+            (name, int(offset), tuple(shape), np.dtype(dtype))
+            for name, offset, shape, dtype in fields["entries"]
+        ]
+        meta = dict(fields["meta"])
+        payload_bytes = int(fields["payload_bytes"])
+        crc = int(fields["crc32"])
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ArtifactError(f"{path} has a malformed header: {exc}") from exc
+    start = _aligned(_PREFIX.size + header_len)
+    if len(buf) != start + payload_bytes:
+        raise ArtifactError(
+            f"{path} holds {len(buf)} bytes; its header describes "
+            f"{start + payload_bytes}"
+        )
+    if zlib.crc32(memoryview(buf)[start:]) != crc:
+        raise ArtifactError(f"{path} failed its payload crc32 check")
+    views = {
+        name: np.frombuffer(
+            buf,
+            dtype=dtype,
+            count=int(np.prod(shape, dtype=np.int64)),
+            offset=start + offset,
+        ).reshape(shape)
+        for name, offset, shape, dtype in entries
+    }
+    return views, meta
+
+
+def load_state(path: str) -> Tuple[Dict[str, np.ndarray], dict]:
+    """Read a file written by :func:`save_state`: ``(state, meta)``.
+
+    Every array is an owned, writeable copy.
+    """
+    with open(path, "rb") as fh:
+        views, meta = _read(fh.read(), path)
+    return {name: view.copy() for name, view in views.items()}, meta
+
+
+def map_state(path: str) -> Tuple[Dict[str, np.ndarray], dict]:
+    """Map a file written by :func:`save_state`: ``(views, meta)``.
+
+    Every array is a read-only view into one ``np.memmap`` of the file,
+    so processes mapping the same file share its page cache.
+    """
+    if os.path.getsize(path) == 0:  # np.memmap refuses empty files
+        raise ArtifactError(f"{path} is truncated: 0 bytes")
+    return _read(np.memmap(path, dtype=np.uint8, mode="r"), path)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
@@ -12,7 +11,6 @@ from repro.ckpt import (
     CKPT_SCHEMA_VERSION,
     TrainCheckpoint,
     capture_rng_states,
-    checkpoint_path,
     load_checkpoint,
     restore_rng_states,
     save_checkpoint,
@@ -20,7 +18,8 @@ from repro.ckpt import (
 from repro.errors import CheckpointError
 from repro.models import AMSFactory, FP32Factory
 from repro.models.simple import SimpleCNN
-from repro.utils.serialization import save_state
+from repro.utils.serialization import load_state, save_state
+from tests.artifactkit import DAMAGES, damage
 
 
 def _checkpoint(best=True):
@@ -50,7 +49,7 @@ class TestRoundTrip:
     def test_everything_survives(self, tmp_path):
         ckpt = _checkpoint()
         path = save_checkpoint(str(tmp_path / "m.ckpt"), ckpt)
-        assert path.endswith(".npz")
+        assert path == str(tmp_path / "m.ckpt")
         loaded = load_checkpoint(path)
         assert loaded.epoch == 3
         assert loaded.schema_version == CKPT_SCHEMA_VERSION
@@ -104,29 +103,30 @@ class TestRoundTrip:
 class TestValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="no checkpoint"):
-            load_checkpoint(str(tmp_path / "absent.ckpt.npz"))
+            load_checkpoint(str(tmp_path / "absent.ckpt"))
 
     def test_plain_state_archive_rejected(self, tmp_path):
-        path = str(tmp_path / "weights.npz")
+        path = str(tmp_path / "weights.state")
         save_state(path, {"w": np.zeros(3)})
         with pytest.raises(CheckpointError, match="not a training checkpoint"):
             load_checkpoint(path)
 
     def test_corrupt_meta_block(self, tmp_path):
-        path = str(tmp_path / "bad.npz")
-        save_state(
-            path,
-            {
-                "__checkpoint_meta__": np.frombuffer(
-                    b"{not json", dtype=np.uint8
-                )
-            },
-        )
+        path = save_checkpoint(str(tmp_path / "m.ckpt"), _checkpoint())
+        damage(path, "header-byte")
         with pytest.raises(CheckpointError, match="corrupt"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("kind", DAMAGES)
+    def test_damaged_file_is_typed(self, tmp_path, kind):
+        """A damaged file surfaces as CheckpointError, never untyped."""
+        path = save_checkpoint(str(tmp_path / "m.ckpt"), _checkpoint())
+        damage(path, kind)
+        with pytest.raises(CheckpointError, match="ArtifactError|corrupt"):
+            load_checkpoint(path)
+
     def test_future_schema_version_rejected(self, tmp_path):
-        path = str(tmp_path / "future.npz")
+        path = str(tmp_path / "future.ckpt")
         meta = {
             name: 0
             for name in (
@@ -143,48 +143,31 @@ class TestValidation:
             rng_states={},
             train_config={},
         )
-        save_state(
-            path,
-            {
-                "__checkpoint_meta__": np.frombuffer(
-                    json.dumps(meta).encode(), dtype=np.uint8
-                )
-            },
-        )
+        save_state(path, {"model.w": np.zeros(1)}, meta=meta)
         with pytest.raises(CheckpointError, match="schema version"):
             load_checkpoint(path)
 
     def test_missing_meta_fields_rejected(self, tmp_path):
-        path = str(tmp_path / "partial.npz")
-        save_state(
-            path,
-            {
-                "__checkpoint_meta__": np.frombuffer(
-                    json.dumps({"schema_version": 1}).encode(), dtype=np.uint8
-                )
-            },
-        )
+        path = str(tmp_path / "partial.ckpt")
+        save_state(path, {"model.w": np.zeros(1)}, meta={"schema_version": 1})
         with pytest.raises(CheckpointError, match="missing metadata"):
             load_checkpoint(path)
 
     def test_unrecognized_array_section_rejected(self, tmp_path):
         ckpt = _checkpoint()
         path = save_checkpoint(str(tmp_path / "m.ckpt"), ckpt)
-        arrays = dict(np.load(path).items())
+        arrays, meta = load_state(path)
         arrays["bogus.key"] = np.zeros(1)
-        save_state(path, arrays)
+        save_state(path, arrays, meta=meta)
         with pytest.raises(CheckpointError, match="unrecognized"):
             load_checkpoint(path)
-
-    def test_checkpoint_path_helper(self):
-        assert checkpoint_path("cache/fp32-base") == "cache/fp32-base.ckpt.npz"
 
 
 class TestAtomicity:
     def test_no_tmp_residue(self, tmp_path):
         save_checkpoint(str(tmp_path / "m.ckpt"), _checkpoint())
         names = os.listdir(tmp_path)
-        assert names == ["m.ckpt.npz"]
+        assert names == ["m.ckpt"]
 
     def test_overwrite_never_leaves_partial_file(self, tmp_path):
         path = str(tmp_path / "m.ckpt")
@@ -193,7 +176,7 @@ class TestAtomicity:
         ckpt.epoch = 9
         save_checkpoint(path, ckpt)
         assert load_checkpoint(path).epoch == 9
-        assert os.listdir(tmp_path) == ["m.ckpt.npz"]
+        assert os.listdir(tmp_path) == ["m.ckpt"]
 
 
 class TestRngCapture:

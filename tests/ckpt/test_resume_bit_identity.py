@@ -18,6 +18,7 @@ from repro.models import AMSFactory, DoReFaFactory, FP32Factory
 from repro.models.simple import SimpleCNN
 from repro.obs.journal import end_run, read_events, start_run
 from repro.train import TrainConfig, Trainer
+from tests.artifactkit import DAMAGES, damage
 
 EPOCHS = 4
 
@@ -258,6 +259,29 @@ def test_changed_hyperparameters_refuse_to_resume(tiny_data, tmp_path):
         )
 
 
+@pytest.mark.parametrize("kind", DAMAGES)
+def test_damaged_checkpoint_refuses_to_resume(tiny_data, tmp_path, kind):
+    """A flipped byte or a truncation fails the resume typed."""
+    from repro.errors import CheckpointError
+
+    ckpt = str(tmp_path / "train.ckpt")
+
+    def _crash(epoch):
+        raise _Kill
+
+    with pytest.raises(_Kill):
+        Trainer(_config(on_epoch_end=_crash)).fit(
+            _make_model("fp32"), tiny_data.train, tiny_data.val,
+            checkpoint_path=ckpt,
+        )
+    damage(ckpt, kind)
+    with pytest.raises(CheckpointError, match="corrupt"):
+        Trainer(_config()).fit(
+            _make_model("fp32"), tiny_data.train, tiny_data.val,
+            checkpoint_path=ckpt, resume=True,
+        )
+
+
 def test_resume_without_checkpoint_path_rejected(tiny_data):
     from repro.errors import ConfigError
 
@@ -314,7 +338,7 @@ Trainer(config).fit(
 
     proc = crashkit.run_child(child, cwd=tmp_path)
     crashkit.assert_killed(proc)
-    ckpt = tmp_path / "train.ckpt.npz"
+    ckpt = tmp_path / "train.ckpt"
     assert ckpt.exists()
 
     resumed_model = _make_model("fp32")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.cli import main
+from repro.utils.serialization import save_state
 
 
 class TestList:
@@ -27,12 +28,12 @@ class TestCache:
         self, tmp_path, capsys
     ):
         """Leftovers of a crashed worker's write-then-rename protocol."""
-        np.savez(str(tmp_path / "quant-bw8-bx8.npz"), w=np.zeros(3))
-        (tmp_path / "quant-bw8-bx8.tmp4242.npz").write_bytes(b"partial")
-        (tmp_path / "quant-bw8-bx8.tmp4242.json").write_text("{")
+        save_state(str(tmp_path / "quant-bw8-bx8.state"), {"w": np.zeros(3)})
+        (tmp_path / "quant-bw8-bx8.state.tmp4242").write_bytes(b"partial")
+        (tmp_path / "quant-bw8-bx8.ckpt.tmp4242").write_bytes(b"{")
         assert main(["registry", "list", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "quant-bw8-bx8.npz" in out
+        assert "quant-bw8-bx8.state" in out
         assert "tmp4242" not in out
         assert "2 stale tmp file(s)" in out
         assert (

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.common import ExperimentResult
+from repro.registry.layout import artifact_paths
 from repro.serve import ModelSpec
 
 FP32 = ModelSpec("fp32")
@@ -29,10 +30,10 @@ class TestTrainedArtifacts:
 
     def test_cache_hit_skips_training(self, micro_bench):
         micro_bench.registry.get(FP32, fresh=True)
-        base = micro_bench._cache_base("fp32")
-        mtime = os.path.getmtime(base + ".npz")
+        path = artifact_paths(micro_bench.config, "fp32").state
+        mtime = os.path.getmtime(path)
         model, meta = micro_bench.registry.get(FP32, fresh=True)
-        assert os.path.getmtime(base + ".npz") == mtime
+        assert os.path.getmtime(path) == mtime
         assert "best_accuracy" in meta
 
     def test_cached_weights_identical(self, micro_bench):

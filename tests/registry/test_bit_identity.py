@@ -16,6 +16,7 @@ from repro.compile import disabled
 from repro.obs.metrics import MetricRegistry
 from repro.serve.executor import forward_with_request_noise
 from repro.serve.spec import ModelSpec
+from tests.artifactkit import DAMAGES, damage
 
 #: Non-contiguous ids: noise must key on the id, not batch position.
 REQUEST_IDS = [3, 11, 4, 17]
@@ -30,6 +31,9 @@ SPEC_TOKENS = [
     "ams_eval:e4.0",
     "ams_eval:e4.0:mstate_dependent",
 ]
+
+
+FP32 = ModelSpec("fp32")
 
 
 def _logits(model, images, seed):
@@ -63,3 +67,39 @@ def test_registry_matches_legacy_train_or_load(
         assert meta.keys() == legacy_meta.keys()
         assert meta.get("best_accuracy") == legacy_meta.get("best_accuracy")
 
+
+
+@pytest.mark.parametrize("kind", DAMAGES)
+def test_damaged_cold_artifact_is_retrained(
+    kind, registry_config, tmp_path
+):
+    """A flipped byte or a truncated cold-tier file is a journaled miss:
+    the artifact is retrained, bit-identically, and overwritten."""
+    from dataclasses import replace
+
+    from repro.experiments.common import Workbench
+    from repro.obs.journal import end_run, read_events, start_run
+    from repro.registry import ModelRegistry
+    from repro.registry.layout import artifact_paths
+    from repro.utils.serialization import load_state
+
+    bench = Workbench(replace(registry_config, cache_dir=str(tmp_path)))
+    trained, meta = ModelRegistry(bench).get(FP32, fresh=True)
+    path = artifact_paths(bench.config, "fp32").state
+    damage(path, kind)
+
+    start_run(results_dir=str(tmp_path / "results"), run_id="damaged")
+    try:
+        retrained, retrained_meta = ModelRegistry(bench).get(
+            FP32, fresh=True
+        )
+    finally:
+        end_run()
+    events = read_events("damaged", str(tmp_path / "results"))
+    sources = [e["source"] for e in events if e["event"] == "bench.artifact"]
+    assert sources == ["corrupt", "trained"]
+    assert retrained_meta == meta
+    for name, value in trained.state_dict().items():
+        np.testing.assert_array_equal(retrained.state_dict()[name], value)
+    state, _ = load_state(path)  # overwritten with a sound file
+    assert set(state) == set(trained.state_dict())

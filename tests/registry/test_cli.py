@@ -12,18 +12,18 @@ import os
 import numpy as np
 
 from repro.experiments.cli import main
+from repro.utils.serialization import save_state
 
 
 def _fake_artifact(tmp_path, stem: str) -> None:
-    np.savez(str(tmp_path / f"{stem}.npz"), w=np.zeros(3))
-    (tmp_path / f"{stem}.json").write_text("{}")
+    save_state(str(tmp_path / f"{stem}.state"), {"w": np.zeros(3)}, {})
 
 
 class TestList:
     def test_lists_artifacts(self, tmp_path, capsys):
         _fake_artifact(tmp_path, "quick-s77-fp32")
         assert main(["registry", "list", "--cache-dir", str(tmp_path)]) == 0
-        assert "quick-s77-fp32.npz" in capsys.readouterr().out
+        assert "quick-s77-fp32.state" in capsys.readouterr().out
 
     def test_missing_dir_reports_not_crashes(self, tmp_path, capsys):
         missing = str(tmp_path / "nope")
@@ -32,7 +32,7 @@ class TestList:
 
     def test_live_tmp_reported_not_hidden(self, tmp_path, capsys):
         _fake_artifact(tmp_path, "quick-s77-fp32")
-        (tmp_path / f"quick-s77-quant.npz.tmp{os.getpid()}").write_bytes(
+        (tmp_path / f"quick-s77-quant.state.tmp{os.getpid()}").write_bytes(
             b"in flight"
         )
         assert main(["registry", "list", "--cache-dir", str(tmp_path)]) == 0
@@ -48,6 +48,17 @@ class TestStats:
         out = capsys.readouterr().out
         assert "2 artifact(s)" in out
         assert "stale tmp files: 0" in out
+
+    def test_counts_only_complete_artifacts(self, tmp_path, capsys):
+        """An in-flight checkpoint and temporaries are not artifacts."""
+        _fake_artifact(tmp_path, "quick-s77-fp32")
+        save_state(str(tmp_path / "quick-s77-quant.ckpt"), {"w": np.ones(2)})
+        (tmp_path / f"quick-s77-ams.state.tmp{os.getpid()}").write_bytes(b"")
+        (tmp_path / "quick-s77-ams.ckpt.tmp999999999").write_bytes(b"")
+        assert main(["registry", "stats", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "1 artifact(s)" in out
+        assert "stale tmp files: 1; live tmp files: 1" in out
 
 
 class TestEvict:
@@ -67,12 +78,9 @@ class TestEvict:
             )
             == 0
         )
-        assert "removed 2" in capsys.readouterr().out
+        assert "removed 1" in capsys.readouterr().out
         survivors = sorted(os.listdir(tmp_path))
-        assert survivors == [
-            "quick-s77-quant-bw8-bx8.json",
-            "quick-s77-quant-bw8-bx8.npz",
-        ]
+        assert survivors == ["quick-s77-quant-bw8-bx8.state"]
 
     def test_all_sweeps_everything(self, tmp_path, capsys):
         _fake_artifact(tmp_path, "quick-s77-fp32")
@@ -82,7 +90,7 @@ class TestEvict:
             )
             == 0
         )
-        assert "removed 2" in capsys.readouterr().out
+        assert "removed 1" in capsys.readouterr().out
         assert not os.listdir(tmp_path)
 
     def test_no_selector_exits_2(self, tmp_path, capsys):
@@ -113,7 +121,7 @@ class TestEvict:
         """Race-safe sweep: complete artifacts go, a live writer's
         temporary stays, so a concurrent publication is never torn."""
         _fake_artifact(tmp_path, "quick-s77-fp32")
-        live = tmp_path / f"quick-s77-fp32.npz.tmp{os.getpid()}"
+        live = tmp_path / f"quick-s77-fp32.state.tmp{os.getpid()}"
         live.write_bytes(b"half-written")
         assert (
             main(
@@ -122,7 +130,7 @@ class TestEvict:
             == 0
         )
         out = capsys.readouterr().out
-        assert "removed 2" in out
+        assert "removed 1" in out
         assert "kept 1 live tmp" in out
         assert live.exists()
         assert sorted(os.listdir(tmp_path)) == [live.name]

@@ -30,7 +30,7 @@ def _state(value: float) -> dict:
 class TestTmpClassification:
     def test_live_tmp_survives_everything_eviction(self, tmp_path):
         cache = str(tmp_path)
-        live = os.path.join(cache, f"quick-fp32.npz.tmp{os.getpid()}")
+        live = os.path.join(cache, f"quick-fp32.state.tmp{os.getpid()}")
         with open(live, "wb") as fh:
             fh.write(b"half-written")
         removed, kept = evict_artifacts(cache, everything=True)
@@ -40,7 +40,7 @@ class TestTmpClassification:
 
     def test_dead_pid_tmp_is_swept(self, tmp_path):
         cache = str(tmp_path)
-        stale = os.path.join(cache, f"quick-fp32.npz.tmp{DEAD_PID}")
+        stale = os.path.join(cache, f"quick-fp32.state.tmp{DEAD_PID}")
         with open(stale, "wb") as fh:
             fh.write(b"orphaned")
         entries, stale_names, live_names = scan_artifacts(cache)
@@ -51,28 +51,35 @@ class TestTmpClassification:
         assert kept == []
         assert not os.path.exists(stale)
 
-    def test_legacy_tmp_name_order_also_classified(self, tmp_path):
-        """Pre-atomic_write builds wrote ``<name>.tmp<pid>.npz``."""
-        cache = str(tmp_path)
-        with open(
-            os.path.join(cache, f"quick-fp32.tmp{DEAD_PID}.npz"), "wb"
-        ) as fh:
-            fh.write(b"orphaned")
-        _entries, stale_names, _live = scan_artifacts(cache)
-        assert len(stale_names) == 1
-
     def test_scan_separates_entries_from_tmps(self, tmp_path):
         cache = str(tmp_path)
-        save_state(os.path.join(cache, "quick-fp32.npz"), _state(1.0))
+        save_state(os.path.join(cache, "quick-fp32.state"), _state(1.0))
         with open(
-            os.path.join(cache, f"quick-quant.npz.tmp{os.getpid()}"), "wb"
+            os.path.join(cache, f"quick-quant.state.tmp{os.getpid()}"), "wb"
         ) as fh:
             fh.write(b"in flight")
         entries, stale_names, live_names = scan_artifacts(cache)
-        assert [e.name for e in entries] == ["quick-fp32.npz"]
+        assert [e.name for e in entries] == ["quick-fp32.state"]
         assert entries[0].size_bytes > 0
         assert stale_names == []
         assert len(live_names) == 1
+
+
+    def test_scan_lists_only_complete_artifacts(self, tmp_path):
+        """A checkpoint in flight, a live and a stale temporary sit
+        beside one complete artifact: only the artifact is an entry."""
+        cache = str(tmp_path)
+        save_state(os.path.join(cache, "quick-fp32.state"), _state(1.0))
+        save_state(os.path.join(cache, "quick-quant.ckpt"), _state(2.0))
+        live = f"quick-ams.state.tmp{os.getpid()}"
+        stale = f"quick-ams.ckpt.tmp{DEAD_PID}"
+        for name in (live, stale):
+            with open(os.path.join(cache, name), "wb") as fh:
+                fh.write(b"partial")
+        entries, stale_names, live_names = scan_artifacts(cache)
+        assert [e.name for e in entries] == ["quick-fp32.state"]
+        assert stale_names == [stale]
+        assert live_names == [live]
 
 
 class TestTornWriteStress:
@@ -93,7 +100,7 @@ class TestTornWriteStress:
             # pid-unique, not thread-unique, so same-path same-process
             # writers are out of contract — the race under test is
             # writer vs. evictor.
-            path = os.path.join(cache, f"quick-s91-stress{worker}.npz")
+            path = os.path.join(cache, f"quick-s91-stress{worker}.state")
             value = float(worker)
             while not stop.is_set():
                 try:
@@ -124,9 +131,9 @@ class TestTornWriteStress:
         assert errors == []
 
         # Settle: one final write must land and read back intact.
-        path = os.path.join(cache, "quick-s91-stress0.npz")
+        path = os.path.join(cache, "quick-s91-stress0.state")
         save_state(path, _state(7.0))
-        state = load_state(path)
+        state, _meta = load_state(path)
         np.testing.assert_array_equal(state["w"], _state(7.0)["w"])
         # Clean exit leaves no temporaries behind, live or stale.
         _entries, stale_names, live_names = scan_artifacts(cache)

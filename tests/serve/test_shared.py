@@ -1,20 +1,22 @@
-"""Zero-copy weight publication: publish / map / bind round trips."""
+"""Zero-copy weight publication: publish / map / bind round trips.
+
+Publication writes the one artifact format (``save_state``); replicas
+map it (``map_state``) and bind parameters as views into the mapping.
+"""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ArtifactError, ConfigError, ReplicaError
 from repro.nn import Linear
-from repro.serve.shared import (
-    ALIGN,
-    SharedWeights,
-    bind_shared,
-    bound_fraction,
-    open_shared,
-    process_rss_kb,
-    publish_weights,
-)
+from repro.serve.shared import bind_shared, bound_fraction, process_rss_kb
+from repro.utils.serialization import ALIGN, map_state, save_state
 from tests.serve.conftest import AMS_SPEC
+
+
+def _publish(state, path) -> str:
+    save_state(str(path), state)
+    return str(path)
 
 
 class TestPublishAndOpen:
@@ -24,8 +26,7 @@ class TestPublishAndOpen:
             "a.bias": np.arange(3, dtype=np.float32),
             "stat": np.array(2.5, dtype=np.float64),
         }
-        shared = publish_weights(state, str(tmp_path / "w.bin"))
-        views = open_shared(shared)
+        views, _ = map_state(_publish(state, tmp_path / "w.state"))
         assert set(views) == set(state)
         for name, arr in state.items():
             assert views[name].dtype == arr.dtype
@@ -37,10 +38,9 @@ class TestPublishAndOpen:
             "w": np.ones((5, 5), dtype=np.float32),
             "v": np.ones(7, dtype=np.float32),
         }
-        shared = publish_weights(state, str(tmp_path / "w.bin"))
-        for _name, (offset, _shape, _dtype) in shared.entries:
-            assert offset % ALIGN == 0
-        for view in open_shared(shared).values():
+        views, _ = map_state(_publish(state, tmp_path / "w.state"))
+        for view in views.values():
+            assert view.ctypes.data % ALIGN == 0
             base = view
             while base is not None and not isinstance(base, np.memmap):
                 base = base.base
@@ -48,23 +48,20 @@ class TestPublishAndOpen:
 
     def test_empty_state_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="empty state dict"):
-            publish_weights({}, str(tmp_path / "w.bin"))
+            _publish({}, tmp_path / "w.state")
 
     def test_missing_blob_rejected(self, tmp_path):
-        shared = SharedWeights(
-            path=str(tmp_path / "gone.bin"),
-            entries=(("w", (0, (2,), "<f4")),),
-        )
-        with pytest.raises(ConfigError, match="no published weight blob"):
-            open_shared(shared)
+        with pytest.raises(FileNotFoundError):
+            map_state(str(tmp_path / "gone.state"))
 
     def test_truncated_blob_rejected(self, tmp_path):
-        state = {"w": np.ones(64, dtype=np.float32)}
-        shared = publish_weights(state, str(tmp_path / "w.bin"))
-        with open(shared.path, "r+b") as fh:
-            fh.truncate(32)
-        with pytest.raises(ConfigError, match="truncated"):
-            open_shared(shared)
+        path = _publish(
+            {"w": np.ones(64, dtype=np.float32)}, tmp_path / "w.state"
+        )
+        with open(path, "r+b") as fh:
+            fh.truncate(fh.seek(0, 2) - 32)
+        with pytest.raises(ArtifactError, match="bytes"):
+            map_state(path)
 
 
 class TestBindShared:
@@ -74,10 +71,8 @@ class TestBindShared:
     def test_bind_replaces_params_with_readonly_views(self, tmp_path):
         source = self._layer(seed=1)
         target = self._layer(seed=2)
-        shared = publish_weights(
-            source.state_dict(), str(tmp_path / "w.bin")
-        )
-        bound = bind_shared(target, shared)
+        path = _publish(source.state_dict(), tmp_path / "w.state")
+        bound = bind_shared(target, path)
         assert bound == sum(
             p.data.nbytes for _, p in target.named_parameters()
         )
@@ -90,27 +85,24 @@ class TestBindShared:
 
     def test_bind_bumps_parameter_versions(self, tmp_path):
         source, target = self._layer(1), self._layer(2)
-        shared = publish_weights(
-            source.state_dict(), str(tmp_path / "w.bin")
-        )
+        path = _publish(source.state_dict(), tmp_path / "w.state")
         before = target.weight.version
-        bind_shared(target, shared)
+        bind_shared(target, path)
         assert target.weight.version == before + 1
 
     def test_strict_mismatch_rejected(self, tmp_path):
-        shared = publish_weights(
-            {"stranger": np.ones(3, dtype=np.float32)},
-            str(tmp_path / "w.bin"),
+        path = _publish(
+            {"stranger": np.ones(3, dtype=np.float32)}, tmp_path / "w.state"
         )
         with pytest.raises(ConfigError, match="do not match the model"):
-            bind_shared(self._layer(), shared)
+            bind_shared(self._layer(), path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         state = self._layer().state_dict()
         state["weight"] = np.ones((2, 2), dtype=np.float32)
-        shared = publish_weights(state, str(tmp_path / "w.bin"))
+        path = _publish(state, tmp_path / "w.state")
         with pytest.raises(ConfigError, match="shape mismatch"):
-            bind_shared(self._layer(), shared)
+            bind_shared(self._layer(), path)
 
 
 class TestModelLevelBinding:
@@ -120,11 +112,9 @@ class TestModelLevelBinding:
         spec = AMS_SPEC.resolved(serve_bench.config)
         model, _ = serve_bench.registry.get(spec, fresh=True)
         model.eval()
-        shared = publish_weights(
-            model.state_dict(), str(tmp_path / "m.bin")
-        )
+        path = _publish(model.state_dict(), tmp_path / "m.state")
         rebuilt = serve_bench.build(spec, calibrate=False)
-        bind_shared(rebuilt, shared)
+        bind_shared(rebuilt, path)
         rebuilt.input_adapter.max_abs = model.input_adapter.max_abs
         rebuilt.eval()
         assert bound_fraction(rebuilt) == 1.0
@@ -171,6 +161,24 @@ def test_cluster_weights_are_shared(serve_bench, val_images):
             f"the shared mapping: {report}"
         )
         assert report["rss_kb"] > 0
+
+
+def test_truncated_publication_fails_warm_typed(serve_bench, monkeypatch):
+    """A replica asked to bind a damaged published file answers with a
+    typed error naming ArtifactError; the spec is left unpublished."""
+    from repro.serve import ServeCluster
+    from repro.serve import cluster as cluster_module
+
+    def publish_truncated(path, state, meta=None):
+        save_state(path, state, meta)
+        with open(path, "r+b") as fh:
+            fh.truncate(fh.seek(0, 2) // 2)
+
+    monkeypatch.setattr(cluster_module, "save_state", publish_truncated)
+    with ServeCluster(serve_bench, workers=1) as cluster:
+        with pytest.raises(ReplicaError, match="ArtifactError"):
+            cluster.warm(AMS_SPEC)
+        assert cluster.published_specs() == []
 
 
 def test_process_rss_reports_positive_on_linux():

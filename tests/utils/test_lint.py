@@ -158,6 +158,30 @@ CASES = [
      """, []),
     ("outside-frontdoor", "serve-blocking", "repro/serve/cluster.py",
      "import time\ntime.sleep(1)\n", []),
+    ("savez", "artifact-format", "repro/ckpt/x.py",
+     "np.savez(fh, **state)\n", [(1, "call to np.savez()")]),
+    ("save-and-load", "artifact-format", "repro/registry/x.py", """
+     np.save(path, arr)
+     state = np.load(path)
+     """, [(2, "call to np.save()"), (3, "call to np.load()")]),
+    ("memmap-numpy-spelling", "artifact-format", "repro/serve/x.py",
+     "mm = numpy.memmap(path, mode='r')\n",
+     [(1, "call to numpy.memmap()")]),
+    ("memmap-attribute-legal", "artifact-format", "repro/serve/x.py", """
+     def mapped(arr):
+         return isinstance(arr.base, np.memmap)
+     """, []),
+    ("other-loads-legal", "artifact-format", "repro/serve/x.py", """
+     meta = json.load(fh)
+     arr = np.frombuffer(buf, dtype=np.uint8)
+     """, []),
+    ("docstring", "artifact-format", "repro/serve/x.py", """
+     def f():
+         \"\"\"Never ``np.savez(fh, **state)`` or ``np.load(path)``.\"\"\"
+     """, []),
+    ("serialization-allowed", "artifact-format",
+     "repro/utils/serialization.py",
+     "mm = np.memmap(path, dtype=np.uint8, mode='r')\n", []),
 ]
 
 

@@ -28,9 +28,10 @@ class TestSerialization:
             "layer.weight": np.arange(6, dtype=np.float32).reshape(2, 3),
             "bn.running_mean": np.ones(4),
         }
-        path = str(tmp_path / "sub" / "model.npz")
+        path = str(tmp_path / "sub" / "model.state")
         save_state(path, state)
-        loaded = load_state(path)
+        loaded, meta = load_state(path)
+        assert meta == {}
         assert set(loaded) == set(state)
         np.testing.assert_array_equal(loaded["layer.weight"], state["layer.weight"])
 

@@ -21,6 +21,11 @@ an AST matcher and the requirement it enforces:
 - ``serve-blocking``: no blocking call on the front door's event loop,
   where one synchronous wait stalls every lane at once.  Awaited calls
   yield to the loop and are exempt.
+- ``artifact-format``: no ``np.save*``, ``np.load`` or ``np.memmap``
+  call outside ``repro/utils/serialization.py``.  Arrays reach disk in
+  one format, with one writer and one parser; a second format would
+  bring back its own suffixes and its own untyped corruption.
+  Attribute uses such as ``isinstance(x, np.memmap)`` are legal.
 
 The checks walk the AST, not the text: docstrings legitimately mention
 the fenced names, and ``model_fingerprint(`` contains ``print(``.  The
@@ -198,6 +203,17 @@ def _serve_blocking(tree, lines):
             yield node.lineno, f"non-awaited .{func.attr}()"
 
 
+def _artifact_format(tree, lines):
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        module, _, attr = (_dotted_name(node.func) or "").rpartition(".")
+        if module in ("np", "numpy") and (
+            attr.startswith("save") or attr in ("load", "memmap")
+        ):
+            yield node.lineno, f"call to {module}.{attr}()"
+
+
 RULES = (
     Rule(
         "compile-kernels",
@@ -241,6 +257,13 @@ RULES = (
         (),
         _serve_blocking,
         "never block the front door's event loop; await the asyncio form",
+    ),
+    Rule(
+        "artifact-format",
+        ("repro/",),
+        ("repro/utils/serialization.py",),
+        _artifact_format,
+        "read and write arrays through repro.utils.serialization",
     ),
 )
 
